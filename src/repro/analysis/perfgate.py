@@ -15,7 +15,10 @@ four micro-benchmarks of the hot-path performance engine:
    multi-process harness vs the single-loop harness at equal node count
    (the shared-nothing deployment must actually scale across cores;
    the >= 2x floor is waived on machines with fewer than 4 cores, where
-   there is nothing to scale across).
+   there is nothing to scale across);
+6. **wire client** -- ``NodeClient`` ``get`` throughput over a raw
+   blocking-socket client's against the same single node, one at a
+   time and 50 in flight (informational until their spread is known).
 
 The *gated* metrics are machine-independent ratios: the batched/single
 speedups and the cached/cold speedup must stay above hard floors (the PR
@@ -184,6 +187,16 @@ SPECS: tuple[MetricSpec, ...] = (
     MetricSpec(
         "live_proxy_get_p99_ms",
         "proxy get p99 over localhost TCP, disabled telemetry (ms)",
+    ),
+    MetricSpec(
+        "net_client_raw_ratio_single",
+        "NodeClient get ops/s over a raw blocking socket's, one get in "
+        "flight, against one node process",
+    ),
+    MetricSpec(
+        "net_client_raw_ratio_pipelined",
+        "NodeClient get ops/s over a raw blocking socket's, 50 gets in "
+        "flight (concurrent callers vs one pipelined write)",
     ),
     MetricSpec(
         "live_proxy_traced_p99_ms",
@@ -608,6 +621,83 @@ def _blast_cluster(
     return len(workers) * batches * batch / elapsed
 
 
+_RAW_KEY = "bench:raw"
+_RAW_VALUE = b"r" * 64
+
+
+def _raw_get_rate(host: str, port: int, batch: int, batches: int) -> float:
+    """``get`` ops/s of a blocking socket writing ``batch`` gets at once."""
+    import socket
+
+    request = f"get {_RAW_KEY}\r\n".encode() * batch
+    reply = (
+        f"VALUE {_RAW_KEY} 0 {len(_RAW_VALUE)}\r\n".encode()
+        + _RAW_VALUE
+        + b"\r\nEND\r\n"
+    ) * batch
+    with socket.create_connection((host, port)) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        start = time.perf_counter()
+        for _ in range(batches):
+            sock.sendall(request)
+            if _recv_exact(sock, len(reply)) != reply:
+                raise AssertionError("unexpected raw get reply")
+        return batch * batches / (time.perf_counter() - start)
+
+
+async def _client_get_rate(client: Any, batch: int, batches: int) -> float:
+    """``get`` ops/s of ``batch`` concurrent NodeClient callers."""
+    import asyncio
+
+    start = time.perf_counter()
+    for _ in range(batches):
+        if batch == 1:
+            await client.get(_RAW_KEY)
+        else:
+            await asyncio.gather(*(client.get(_RAW_KEY) for _ in range(batch)))
+    return batch * batches / (time.perf_counter() - start)
+
+
+def bench_net_client(quick: bool) -> dict[str, float]:
+    """``NodeClient`` vs a raw blocking socket against one node process.
+
+    Both clients read the same 64-byte value over one connection to the
+    same node server, first one ``get`` at a time, then 50 in flight.
+    Each ratio is the best of three alternating rounds, so it tracks
+    the client's own cost rather than the machine's speed.
+    """
+    from repro.net.client import NodeClient
+    from repro.net.procs import ProcessClusterHarness
+    from repro.net.runtime import EventLoopThread
+
+    singles = 1000 if quick else 4000
+    batches = 40 if quick else 160
+    ratios = {"single": 0.0, "pipelined": 0.0}
+    with ProcessClusterHarness(["bench-00"], 1 << 22) as procs:
+        host, port = procs.endpoints["bench-00"]
+        with EventLoopThread(name="bench-client") as loop:
+            client = NodeClient("bench-00", host, port, pool_size=1)
+            try:
+                loop.call(client.set(_RAW_KEY, _RAW_VALUE), timeout=10.0)
+                for _ in range(3):
+                    for mode, batch, count in (
+                        ("single", 1, singles),
+                        ("pipelined", 50, batches),
+                    ):
+                        raw = _raw_get_rate(host, port, batch, count)
+                        ours = loop.call(
+                            _client_get_rate(client, batch, count),
+                            timeout=120.0,
+                        )
+                        ratios[mode] = max(ratios[mode], ours / raw)
+            finally:
+                loop.call(client.close(), timeout=5.0)
+    return {
+        "net_client_raw_ratio_single": ratios["single"],
+        "net_client_raw_ratio_pipelined": ratios["pipelined"],
+    }
+
+
 def visible_cores() -> int:
     """CPU cores available to this process (affinity-aware)."""
     import os
@@ -664,6 +754,7 @@ def run_benchmarks(quick: bool = False) -> dict[str, float]:
     metrics.update(bench_e2e(quick))
     metrics.update(bench_live_proxy(quick))
     metrics.update(bench_proc_cluster(quick))
+    metrics.update(bench_net_client(quick))
     return metrics
 
 

@@ -15,7 +15,9 @@ Coordinated-omission discipline:
   rescheduled to a kinder deadline;
 - ``response`` latency is measured from the *scheduled* send time, so a
   request that spent 2 s queued behind a stall is charged 2 s even
-  though its own wire round trip was fast;
+  though its own wire round trip was fast -- or from the actual send
+  when that came first (a wave ships at its start, ahead of the ops
+  due later in it), so response time is never below service time;
 - ``service`` latency (actual send to completion) is recorded alongside,
   so the two can be compared to see where time went.
 
@@ -255,7 +257,7 @@ class LoadGenerator:
                         LATENCY_SECONDS_BUCKETS,
                     )
                     self._second_response[second] = second_hist
-                response = max(0.0, done_at - op.send_at_s)
+                response = done_at - min(op.send_at_s, sent_at)
                 self.response_hist.observe(response)
                 second_hist.observe(response)
                 self.service_hist.observe(max(0.0, done_at - sent_at))

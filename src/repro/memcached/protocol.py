@@ -131,7 +131,7 @@ class TextProtocolServer:
         self.node = node
         self.clock = clock
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._buffer = b""
+        self._buffer = bytearray()
         # When a storage command header has been read, this holds
         # (command line parts, payload bytes expected, trace context).
         self._pending: tuple[list[str], int, TraceContext | None] | None = None
@@ -162,62 +162,67 @@ class TextProtocolServer:
     # Stream interface
     # ------------------------------------------------------------------
 
-    def feed(self, data: bytes) -> bytes:
+    def feed(self, data: bytes | memoryview) -> bytes:
         """Consume ``data`` and return the responses it completes."""
-        self._buffer += data
+        buf = self._buffer
+        buf += data
+        pos = 0  # read offset; the consumed prefix is dropped once, below
         responses: list[bytes] = []
-        while True:
-            if self._pending is not None:
-                parts, size, ctx = self._pending
-                # Payload plus its trailing CRLF must be available.
-                if len(self._buffer) < size + 2:
-                    break
-                payload = self._buffer[:size]
-                trailer = self._buffer[size : size + 2]
-                self._buffer = self._buffer[size + 2 :]
-                self._pending = None
-                if trailer != CRLF:
-                    responses.append(b"CLIENT_ERROR bad data chunk" + CRLF)
-                else:
-                    responses.append(self._run_store(parts, payload, ctx))
-                continue
-            if self._import is not None and self._import.header is not None:
-                key, last_access, size, flags = self._import.header
-                if len(self._buffer) < size + 2:
-                    break
-                payload = self._buffer[:size]
-                trailer = self._buffer[size : size + 2]
-                self._buffer = self._buffer[size + 2 :]
-                state = self._import
-                if trailer != CRLF:
-                    self._import = None
-                    responses.append(b"CLIENT_ERROR bad data chunk" + CRLF)
+        try:
+            while True:
+                if self._pending is not None:
+                    parts, size, ctx = self._pending
+                    # Payload plus its trailing CRLF must be available.
+                    if len(buf) - pos < size + 2:
+                        break
+                    payload = bytes(buf[pos : pos + size])
+                    trailer = buf[pos + size : pos + size + 2]
+                    pos += size + 2
+                    self._pending = None
+                    if trailer != CRLF:
+                        responses.append(b"CLIENT_ERROR bad data chunk" + CRLF)
+                    else:
+                        responses.append(self._run_store(parts, payload, ctx))
                     continue
-                state.header = None
-                state.records.append(
-                    MigratedItem(
-                        key=key,
-                        value=(flags, payload),
-                        value_size=size,
-                        last_access=last_access,
+                if self._import is not None and self._import.header is not None:
+                    key, last_access, size, flags = self._import.header
+                    if len(buf) - pos < size + 2:
+                        break
+                    payload = bytes(buf[pos : pos + size])
+                    trailer = buf[pos + size : pos + size + 2]
+                    pos += size + 2
+                    state = self._import
+                    if trailer != CRLF:
+                        self._import = None
+                        responses.append(b"CLIENT_ERROR bad data chunk" + CRLF)
+                        continue
+                    state.header = None
+                    state.records.append(
+                        MigratedItem(
+                            key=key,
+                            value=(flags, payload),
+                            value_size=size,
+                            last_access=last_access,
+                        )
                     )
-                )
-                if state.remaining == 0:
-                    responses.append(self._finish_import(state))
-                continue
-            line_end = self._buffer.find(CRLF)
-            if line_end < 0:
-                break
-            line = self._buffer[:line_end].decode("utf-8", "replace")
-            self._buffer = self._buffer[line_end + 2 :]
-            if self._import is not None:
-                response = self._import_header_line(line)
-            elif self._export is not None:
-                response = self._export_key_line(line)
-            else:
-                response = self._dispatch(line)
-            if response is not None:
-                responses.append(response)
+                    if state.remaining == 0:
+                        responses.append(self._finish_import(state))
+                    continue
+                line_end = buf.find(CRLF, pos)
+                if line_end < 0:
+                    break
+                line = buf[pos:line_end].decode("utf-8", "replace")
+                pos = line_end + 2
+                if self._import is not None:
+                    response = self._import_header_line(line)
+                elif self._export is not None:
+                    response = self._export_key_line(line)
+                else:
+                    response = self._dispatch(line)
+                if response is not None:
+                    responses.append(response)
+        finally:
+            del buf[:pos]
         return b"".join(responses)
 
     def execute(self, command: str, payload: bytes | None = None) -> bytes:

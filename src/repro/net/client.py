@@ -1,16 +1,21 @@
 """Asyncio Memcached client: pooled connections, pipelined requests.
 
-One :class:`NodeClient` talks to one live node.  Requests are encoded as
-:class:`_Request` objects pairing the wire bytes with an async response
-reader; a batch of requests is written in a single ``write`` (request
-pipelining) and the responses are read back in order.  Failures --
-connection refused/reset, a stalled server exceeding ``timeout_s``, a
-connection closed mid-response -- are retried with the bounded
-exponential backoff of :class:`~repro.core.retry.RetryPolicy` on a fresh
-connection, and surface as :class:`~repro.errors.TransportError` once
-the budget is exhausted.  Protocol error lines
-(``ERROR``/``CLIENT_ERROR``/``SERVER_ERROR``) are deterministic, so they
-raise :class:`~repro.errors.WireProtocolError` immediately instead.
+One :class:`NodeClient` talks to one live node over a small pool of
+buffered-protocol connections (:class:`_Conn`).  A batch of
+:class:`_Request` objects (wire bytes plus a resumable reply reader) is
+written in one ``write`` and queued on a connection's FIFO: concurrent
+callers pipeline on the same connection, whose replies are framed in
+order from one ``bytearray`` and scanned once however they are split.
+One deadline timer per connection bounds its oldest batch
+(``timeout_s``).  Failures -- connection refused/reset, a stalled
+server tripping the deadline, a connection closed mid-response -- are
+retried with the bounded exponential backoff of
+:class:`~repro.core.retry.RetryPolicy` on a fresh connection, and
+surface as :class:`~repro.errors.TransportError` once the budget is
+exhausted.  A protocol error line (``ERROR``/``CLIENT_ERROR``/
+``SERVER_ERROR``) is a complete, deterministic reply: it raises
+:class:`~repro.errors.WireProtocolError` for its request only and the
+connection stays up; only an unparseable reply drops it.
 
 All ElMem migration commands are supported: ``ts_dump`` (timestamp
 metadata + sizes), ``mig_export`` (full KV pairs without touching MRU
@@ -22,12 +27,13 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Generator, Iterable, TypeVar
 
 from repro.core.retry import RetryPolicy
 from repro.errors import TransportError, WireProtocolError
 from repro.memcached.node import MigratedItem
+from repro.net.runtime import RECV_CHUNK
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.livetrace import TraceContext, current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
@@ -50,6 +56,11 @@ DEFAULT_CLIENT_RETRY = RetryPolicy(
 )
 """Default transport retry: 3 attempts, 50 ms then 100 ms backoff."""
 
+_T = TypeVar("_T")
+_Gen = Generator[None, None, _T]
+"""A resumable reader: yields while it needs more bytes."""
+_Reader = Callable[["_Conn"], _Gen[Any]]
+
 
 def _raise_on_error(line: bytes) -> bytes:
     """Pass ``line`` through unless it is a protocol error line."""
@@ -59,44 +70,135 @@ def _raise_on_error(line: bytes) -> bytes:
     return line
 
 
-class _Conn:
-    """One open connection plus its framing helpers."""
+@dataclass(slots=True)
+class _Call:
+    """One caller's pipelined batch: its readers and the replies so far."""
 
-    __slots__ = ("reader", "writer")
+    readers: list[_Reader]
+    future: asyncio.Future[list[Any]]
+    deadline: float
+    results: list[Any] = field(default_factory=list)
+    error: WireProtocolError | None = None  # the first error line
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+    def finish(self) -> None:
+        if self.future.done():
+            return  # the caller was cancelled; its replies are dropped
+        if self.error is not None:
+            self.future.set_exception(self.error)
+        else:
+            self.future.set_result(self.results)
 
-    @property
-    def closing(self) -> bool:
-        return self.writer.is_closing()
 
-    async def read_line(self) -> bytes:
-        """One CRLF-terminated response line, terminator stripped."""
-        line = await self.reader.readuntil(CRLF)
-        return line[:-2]
+class _Conn(asyncio.BufferedProtocol):
+    """One pooled connection: FIFO of calls, replies framed in order."""
 
-    async def read_payload(self, size: int) -> bytes:
+    def __init__(self, client: NodeClient) -> None:
+        self.client = client
+        self.transport: asyncio.Transport  # set once connected
+        self.chunk = memoryview(bytearray(RECV_CHUNK))
+        self.buf = bytearray()
+        self.pos = self.scan = 0  # unread reply start; CRLF search start
+        self.calls: deque[_Call] = deque()
+        self.reply: _Gen[Any] | None = None  # the head reply's reader
+        self.timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.drop(exc or ConnectionResetError("connection closed"))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.buf += self.chunk[:nbytes]
+        calls = self.calls
+        while calls:
+            call = calls[0]
+            if self.reply is None:
+                self.reply = call.readers[len(call.results)](self)
+            try:
+                next(self.reply)
+            except StopIteration as done:
+                call.results.append(done.value)
+            except WireProtocolError as exc:
+                # An error line is a whole reply: only this call fails.
+                call.error = call.error or exc
+                call.results.append(None)
+            except (ValueError, IndexError) as exc:  # unparseable reply
+                call.error = WireProtocolError(f"unparseable reply: {exc}")
+                call.finish()
+                self.drop(ConnectionResetError("dropped after bad reply"))
+                return
+            else:
+                break  # the head reply needs more bytes
+            self.reply = None
+            if len(call.results) == len(call.readers):
+                calls.popleft()
+                call.finish()
+        del self.buf[: self.pos]  # compact once per read
+        self.scan -= self.pos
+        self.pos = 0
+        if not calls and self.client._closed:
+            self.transport.close()
+
+    def line(self) -> _Gen[bytes]:
+        """One CRLF-terminated reply line, terminator stripped."""
+        while (end := self.buf.find(CRLF, self.scan)) < 0:
+            self.scan = max(self.pos, len(self.buf) - 1)
+            yield
+        line = bytes(self.buf[self.pos : end])
+        self.pos = self.scan = end + 2
+        return line
+
+    def payload(self, size: int) -> _Gen[bytes]:
         """A sized payload plus its trailing CRLF."""
-        data = await self.reader.readexactly(size + 2)
-        if data[-2:] != CRLF:
-            raise WireProtocolError("missing CRLF after payload")
-        return data[:-2]
+        while len(self.buf) - self.pos < size + 2:
+            yield
+        end = self.pos + size
+        if self.buf[end : end + 2] != CRLF:
+            raise ValueError("missing CRLF after payload")
+        data = bytes(self.buf[self.pos : end])
+        self.pos = self.scan = end + 2
+        return data
 
-    def abort(self) -> None:
-        transport = self.writer.transport
-        if transport is not None:
-            transport.abort()
+    def send(
+        self, wire: bytes, readers: list[_Reader], timeout_s: float
+    ) -> asyncio.Future[list[Any]]:
+        """Write one batch; the future resolves with its replies."""
+        loop = asyncio.get_running_loop()
+        call = _Call(readers, loop.create_future(), loop.time() + timeout_s)
+        self.calls.append(call)
+        self.transport.write(wire)
+        if self.timer is None:
+            self._arm()
+        return call.future
 
-    async def close(self) -> None:
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (OSError, asyncio.CancelledError):
-            pass
+    def _arm(self) -> None:
+        """Time the oldest call.  Re-armed lazily: a timer that outlives
+        its call moves on to the oldest call still waiting, if any."""
+        self.timer = None
+        if self.calls:
+            deadline = self.calls[0].deadline
+            if deadline <= asyncio.get_running_loop().time():
+                self.drop(TimeoutError("no reply before the deadline"))
+            else:
+                self.timer = asyncio.get_running_loop().call_at(deadline, self._arm)
+
+    def drop(self, exc: Exception) -> None:
+        """Abort the connection and fail every call still queued on it."""
+        self.transport.abort()
+        if self in self.client._conns:
+            self.client._conns.remove(self)
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = self.reply = None
+        calls, self.calls = self.calls, deque()
+        for call in calls:
+            if not call.future.done():
+                call.future.set_exception(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -104,87 +206,75 @@ class _Conn:
 # ---------------------------------------------------------------------------
 
 
-async def _read_simple(conn: _Conn) -> bytes:
+def _read_simple(conn: _Conn) -> _Gen[bytes]:
     """A single response line; protocol errors raise."""
-    return _raise_on_error(await conn.read_line())
+    return _raise_on_error((yield from conn.line()))
 
 
-async def _read_values(conn: _Conn) -> dict[str, tuple[int, bytes]]:
+def _read_values(conn: _Conn) -> _Gen[dict[str, tuple[int, bytes]]]:
     """``VALUE`` blocks until ``END`` -> ``{key: (flags, payload)}``."""
     values: dict[str, tuple[int, bytes]] = {}
     while True:
-        line = _raise_on_error(await conn.read_line())
+        line = _raise_on_error((yield from conn.line()))
         if line == b"END":
             return values
         parts = line.split()
         if len(parts) < 4 or parts[0] != b"VALUE":
-            raise WireProtocolError(
-                f"unexpected line in value block: {line!r}"
-            )
+            raise ValueError(f"unexpected line in value block: {line!r}")
         key = parts[1].decode("utf-8")
         flags, size = int(parts[2]), int(parts[3])
-        values[key] = (flags, await conn.read_payload(size))
+        values[key] = (flags, (yield from conn.payload(size)))
 
 
-async def _read_ts(conn: _Conn) -> list[tuple[str, float, int]]:
+def _read_ts(conn: _Conn) -> _Gen[list[tuple[str, float, int]]]:
     """``TS`` lines until ``END`` -> ``[(key, last_access, size)]``."""
     rows: list[tuple[str, float, int]] = []
     while True:
-        line = _raise_on_error(await conn.read_line())
+        line = _raise_on_error((yield from conn.line()))
         if line == b"END":
             return rows
         parts = line.split()
         if len(parts) != 4 or parts[0] != b"TS":
-            raise WireProtocolError(f"unexpected ts_dump line: {line!r}")
+            raise ValueError(f"unexpected ts_dump line: {line!r}")
         rows.append(
             (parts[1].decode("utf-8"), float(parts[2]), int(parts[3]))
         )
 
 
-async def _read_items(conn: _Conn) -> list[MigratedItem]:
+def _read_items(conn: _Conn) -> _Gen[list[MigratedItem]]:
     """``ITEM`` blocks until ``END`` -> migrated KV records."""
     records: list[MigratedItem] = []
     while True:
-        line = _raise_on_error(await conn.read_line())
+        line = _raise_on_error((yield from conn.line()))
         if line == b"END":
             return records
         parts = line.split()
         if len(parts) != 5 or parts[0] != b"ITEM":
-            raise WireProtocolError(f"unexpected export line: {line!r}")
-        key = parts[1].decode("utf-8")
-        flags, last_access, size = (
-            int(parts[2]),
-            float(parts[3]),
-            int(parts[4]),
-        )
-        payload = await conn.read_payload(size)
+            raise ValueError(f"unexpected export line: {line!r}")
+        flags, last_access, size = int(parts[2]), float(parts[3]), int(parts[4])
+        value = (flags, (yield from conn.payload(size)))
         records.append(
-            MigratedItem(
-                key=key,
-                value=(flags, payload),
-                value_size=size,
-                last_access=last_access,
-            )
+            MigratedItem(parts[1].decode("utf-8"), value, size, last_access)
         )
 
 
-async def _read_stats(conn: _Conn) -> dict[str, str]:
+def _read_stats(conn: _Conn) -> _Gen[dict[str, str]]:
     """``STAT`` lines until ``END`` -> ``{name: value}``."""
     stats: dict[str, str] = {}
     while True:
-        line = _raise_on_error(await conn.read_line())
+        line = _raise_on_error((yield from conn.line()))
         if line == b"END":
             return stats
         parts = line.split(None, 2)
         if len(parts) != 3 or parts[0] != b"STAT":
-            raise WireProtocolError(f"unexpected stats line: {line!r}")
+            raise ValueError(f"unexpected stats line: {line!r}")
         stats[parts[1].decode("utf-8")] = parts[2].decode("utf-8")
 
 
-async def _read_sniffed(conn: _Conn) -> bytes:
+def _read_sniffed(conn: _Conn) -> _Gen[bytes]:
     """Raw response for :meth:`NodeClient.execute`: single line or an
     END-terminated block, returned verbatim (errors included)."""
-    first = await conn.read_line()
+    first = yield from conn.line()
     chunks = [first + CRLF]
     starter = first.split(b" ", 1)[0]
     if starter not in (b"VALUE", b"ITEM", b"TS", b"STAT"):
@@ -193,8 +283,8 @@ async def _read_sniffed(conn: _Conn) -> bytes:
     while line != b"END":
         if line.split(b" ", 1)[0] in (b"VALUE", b"ITEM"):
             size = int(line.split()[-1])
-            chunks.append(await conn.read_payload(size) + CRLF)
-        line = await conn.read_line()
+            chunks.append((yield from conn.payload(size)) + CRLF)
+        line = yield from conn.line()
         chunks.append(line + CRLF)
     return b"".join(chunks)
 
@@ -204,7 +294,7 @@ class _Request:
     """Wire bytes plus the reader that consumes their response."""
 
     wire: bytes
-    reader: Callable[[_Conn], Awaitable[Any]]
+    reader: _Reader
 
 
 def _command(text: str, payload: bytes | None = None) -> bytes:
@@ -224,9 +314,11 @@ class NodeClient:
     host / port:
         The node server's TCP endpoint.
     pool_size:
-        Maximum concurrently open connections.
+        Maximum concurrently open connections; once every open one is
+        busy, callers pipeline onto the least busy.
     timeout_s:
-        Wall-clock budget per pipelined round trip (dial included).
+        Wall-clock budget for the dial and for each pipelined batch's
+        replies, enforced by one deadline timer per connection.
     retry:
         Transport retry schedule; backoffs are real ``asyncio.sleep``
         waits scaled by ``backoff_scale`` (tests shrink it).
@@ -258,8 +350,8 @@ class NodeClient:
         self.retry = retry or DEFAULT_CLIENT_RETRY
         self.backoff_scale = backoff_scale
         self.retry_seed = retry_seed
-        self._idle: deque[_Conn] = deque()
-        self._sem = asyncio.Semaphore(self.pool_size)
+        self._conns: list[_Conn] = []
+        self._dial_lock = asyncio.Lock()
         self._closed = False
         telemetry = telemetry or NULL_TELEMETRY
         metrics = telemetry.metrics
@@ -283,10 +375,9 @@ class NodeClient:
             "Commands per pipelined round trip",
             node=name,
         )
-        self._obs = bool(metrics.enabled)
         self._m_queue_wait = metrics.histogram(
             "net_client_queue_wait_seconds",
-            "Time spent waiting for a pooled connection slot",
+            "Time to obtain a pooled connection, dial included",
             buckets=LATENCY_SECONDS_BUCKETS,
             node=name,
         )
@@ -304,55 +395,31 @@ class NodeClient:
         self.trace_context: TraceContext | None = None
 
     # ------------------------------------------------------------------
-    # Connection pool
+    # Connection pool and pipelined requests with timeout + retry
     # ------------------------------------------------------------------
 
-    async def _dial(self) -> _Conn:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        return _Conn(reader, writer)
-
     async def _acquire(self) -> _Conn:
-        await self._sem.acquire()
-        try:
-            while self._idle:
-                conn = self._idle.popleft()
-                if not conn.closing:
-                    return conn
-                conn.abort()
-            return await asyncio.wait_for(self._dial(), self.timeout_s)
-        except BaseException:
-            self._sem.release()
-            raise
-
-    def _release(self, conn: _Conn) -> None:
-        if self._closed or conn.closing:
-            conn.abort()
-        else:
-            self._idle.append(conn)
-        self._sem.release()
-
-    def _discard(self, conn: _Conn) -> None:
-        conn.abort()
-        self._sem.release()
+        """The least busy pooled connection, or a new one while every
+        open one is busy and the pool has room (one dial at a time)."""
+        async with self._dial_lock:
+            conns = self._conns
+            best = min(conns, key=lambda conn: len(conn.calls), default=None)
+            if best is None or (best.calls and len(conns) < self.pool_size):
+                _, best = await asyncio.wait_for(
+                    asyncio.get_running_loop().create_connection(
+                        lambda: _Conn(self), self.host, self.port
+                    ),
+                    self.timeout_s,
+                )
+                conns.append(best)
+            return best
 
     async def close(self) -> None:
         """Close every pooled connection; in-flight requests finish."""
         self._closed = True
-        while self._idle:
-            await self._idle.popleft().close()
-
-    # ------------------------------------------------------------------
-    # Pipelined request execution with timeout + retry
-    # ------------------------------------------------------------------
-
-    async def _round_trip(
-        self, conn: _Conn, requests: list[_Request], prefix: bytes = b""
-    ) -> list[Any]:
-        conn.writer.write(
-            prefix + b"".join(request.wire for request in requests)
-        )
-        await conn.writer.drain()
-        return [await request.reader(conn) for request in requests]
+        for conn in list(self._conns):
+            if not conn.calls:
+                conn.transport.close()
 
     async def _request(self, requests: list[_Request]) -> list[Any]:
         """Ship a pipelined batch; retry transport failures on a fresh
@@ -365,7 +432,7 @@ class NodeClient:
         # asks for; the ambient read only serves same-loop callers.
         ctx = self.trace_context or current_context()  # repro: allow[REP106]
         span = None
-        prefix = b""
+        wire = b"".join(request.wire for request in requests)
         if ctx is not None:
             if self._live.enabled:
                 span = self._live.start_span(
@@ -377,42 +444,20 @@ class NodeClient:
                 ctx = span.context
             # The trace frame applies to the batch's first command; the
             # server consumes one context per dispatched command.
-            prefix = ctx.wire_prefix()
+            wire = ctx.wire_prefix() + wire
+        readers = [request.reader for request in requests]
         failures = 0
         try:
             while True:
-                conn: _Conn | None = None
                 try:
-                    if self._obs:
-                        wait_start = time.perf_counter()
-                        conn = await self._acquire()
-                        self._m_queue_wait.observe(
-                            time.perf_counter() - wait_start
-                        )
-                        rt_start = time.perf_counter()
-                        results = await asyncio.wait_for(
-                            self._round_trip(conn, requests, prefix),
-                            self.timeout_s,
-                        )
-                        self._m_round_trip.observe(
-                            time.perf_counter() - rt_start
-                        )
-                    else:
-                        conn = await self._acquire()
-                        results = await asyncio.wait_for(
-                            self._round_trip(conn, requests, prefix),
-                            self.timeout_s,
-                        )
-                except WireProtocolError:
-                    # Deterministic server-side rejection: the connection's
-                    # remaining responses are unparseable, drop it, but do
-                    # not retry the same doomed bytes.
-                    if conn is not None:
-                        self._discard(conn)
-                    raise
-                except (OSError, EOFError, asyncio.TimeoutError) as exc:
-                    if conn is not None:
-                        self._discard(conn)
+                    wait_start = time.perf_counter()
+                    conn = await self._acquire()
+                    sent_at = time.perf_counter()
+                    self._m_queue_wait.observe(sent_at - wait_start)
+                    results = await conn.send(wire, readers, self.timeout_s)
+                    self._m_round_trip.observe(time.perf_counter() - sent_at)
+                    return results
+                except OSError as exc:  # refused, reset, or TimeoutError
                     failures += 1
                     if failures >= self.retry.max_attempts:
                         self._m_errors.inc()
@@ -428,16 +473,6 @@ class NodeClient:
                         self.retry.backoff_s(failures, seed=self.retry_seed)
                         * self.backoff_scale
                     )
-                except BaseException:
-                    # Cancellation (e.g. a proxy fan-out losing the race)
-                    # must not leak the pooled connection or its semaphore
-                    # slot; the connection state is unknown, so drop it.
-                    if conn is not None:
-                        self._discard(conn)
-                    raise
-                else:
-                    self._release(conn)
-                    return results
         finally:
             if span is not None:
                 span.set_attribute("retries", failures)

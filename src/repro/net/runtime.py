@@ -21,6 +21,11 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.check.loopcheck import LoopSanitizer
 
+RECV_CHUNK = 65536
+"""Bytes per socket read on every live connection.  Each connection
+reads into one preallocated buffer of this size (``BufferedProtocol``),
+so a read allocates nothing."""
+
 
 class EventLoopThread:
     """One asyncio event loop running in a daemon thread.

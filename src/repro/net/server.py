@@ -1,20 +1,22 @@
 """Asyncio TCP server fronting a live Memcached node, plus a harness.
 
 :class:`NodeServer` listens on localhost and speaks the text protocol of
-:class:`~repro.memcached.protocol.TextProtocolServer`.  The parser is
-incremental, so the server simply feeds it whatever chunks the socket
-delivers -- fragmented commands, values split across reads, and whole
-pipelined bursts all work -- and writes each chunk's responses in a
-single batched ``write``.  Shutdown drains gracefully: the listener
-closes first, open connections get their buffered responses flushed,
-and only stragglers past the grace period are aborted.
+:class:`~repro.memcached.protocol.TextProtocolServer`.  Each connection
+(:class:`_ServerConn`) feeds every socket read straight into the
+incremental parser -- fragmented commands, values split across reads,
+and whole pipelined bursts all work -- and writes the read's responses
+in one ``transport.write``; a peer that stops draining its replies
+stops the reading of its requests.  Shutdown drains gracefully: the
+listener closes first, open connections get their buffered responses
+flushed, and only stragglers past the grace period are aborted.
 
 Fault injection happens per received chunk: when a
 :class:`~repro.faults.sockets.SocketFaultPolicy` is attached, the server
 asks it for a disposition before parsing and either aborts the
-connection (crash / failed flow) or sleeps (stall / throttle), which is
-how the client's timeout+retry path and the Master's degrade-to-cold
-path are exercised over real sockets.
+connection (crash / failed flow) or holds the chunk, reading nothing
+more, for the delay (stall / throttle): that is how the client's
+timeout+retry path and the Master's degrade-to-cold path are exercised
+over real sockets.
 
 :class:`LiveClusterHarness` boots several node servers in one background
 event loop with a shared wall-clock timeline, which is what the CLI, the
@@ -32,12 +34,86 @@ from repro.errors import ConfigurationError
 from repro.faults.sockets import SocketFaultPolicy
 from repro.memcached.node import MemcachedNode
 from repro.memcached.protocol import TextProtocolServer
-from repro.net.runtime import EventLoopThread
+from repro.net.runtime import RECV_CHUNK, EventLoopThread
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 
-RECV_CHUNK = 65536
-"""Bytes per socket read."""
+
+class _ServerConn(asyncio.BufferedProtocol):
+    """One accepted connection: chunks in, batched responses out."""
+
+    def __init__(self, server: NodeServer) -> None:
+        self.server = server
+        self.parser = TextProtocolServer(
+            server.node, server.clock, telemetry=server.telemetry
+        )
+        self.chunk = memoryview(bytearray(RECV_CHUNK))
+        self.transport: asyncio.Transport  # set once connected
+        self.delayed: asyncio.TimerHandle | None = None  # a held chunk
+        self.backlog = False  # the peer is not draining our replies
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.server._conns.add(self)
+        self.server._m_conns.inc()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._conns.discard(self)
+        if self.delayed is not None:
+            self.delayed.cancel()
+        self.closed.set_result(None)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
+        server = self.server
+        server._m_bytes_in.inc(nbytes)
+        chunk = self.chunk[:nbytes]
+        if server.fault_policy is not None:
+            kind, delay = server.fault_policy.disposition(server.node.name)
+            if kind == "drop":
+                server._m_drops.inc()
+                self.transport.abort()
+                return
+            if kind == "delay" and delay > 0:
+                self.delayed = asyncio.get_running_loop().call_later(
+                    delay, self._feed, bytes(chunk)
+                )
+                self._flow()
+                return
+        self._feed(chunk)
+
+    def _feed(self, chunk: bytes | memoryview) -> None:
+        server, parser = self.server, self.parser
+        self.delayed = None
+        start, executed = time.perf_counter(), parser.execute_seconds
+        responses = parser.feed(chunk)
+        parse_s = time.perf_counter() - start - (parser.execute_seconds - executed)
+        server._m_parse.observe(max(0.0, parse_s))
+        if responses:
+            server._m_bytes_out.inc(len(responses))
+            start = time.perf_counter()
+            self.transport.write(responses)
+            server._m_write.observe(time.perf_counter() - start)
+        self._flow()
+
+    def pause_writing(self) -> None:
+        self.backlog = True
+        self._flow()
+
+    def resume_writing(self) -> None:
+        self.backlog = False
+        self._flow()
+
+    def _flow(self) -> None:
+        """Read requests unless a chunk is held or replies back up."""
+        if self.delayed is not None or self.backlog:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
 
 
 class NodeServer:
@@ -77,13 +153,10 @@ class NodeServer:
         self.fault_policy = fault_policy
         self.drain_grace_s = drain_grace_s
         self._server: asyncio.Server | None = None
-        self._closing = False
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._conns: set[_ServerConn] = set()
         telemetry = telemetry or NULL_TELEMETRY
         self.telemetry = telemetry
         metrics = telemetry.metrics
-        self._obs = bool(metrics.enabled)
         self._m_conns = metrics.counter(
             "net_server_connections_total",
             "Connections accepted by live node servers",
@@ -112,7 +185,7 @@ class NodeServer:
         )
         self._m_write = metrics.histogram(
             "net_server_write_seconds",
-            "Response write+drain time per chunk",
+            "Response write time per chunk",
             buckets=LATENCY_SECONDS_BUCKETS,
             node=node.name,
         )
@@ -125,9 +198,8 @@ class NodeServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             return self
-        self._closing = False
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServerConn(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -146,96 +218,22 @@ class NodeServer:
         server = self._server
         if server is None:
             return
-        self._closing = True
         server.close()
         await server.wait_closed()
-        # Closing the writers flushes buffered responses and makes
-        # blocked reads return EOF, so idle keep-alive connections
-        # (pooled clients) unwind without waiting out the grace period.
-        for writer in list(self._writers):
-            writer.close()
-        if self._tasks:
-            done, pending = await asyncio.wait(
-                self._tasks, timeout=self.drain_grace_s
+        # Closing the transports flushes buffered responses and ends
+        # idle keep-alive connections (pooled clients) without waiting
+        # out the grace period.
+        conns = list(self._conns)
+        for conn in conns:
+            conn.transport.close()
+        if conns:
+            await asyncio.wait(
+                [conn.closed for conn in conns], timeout=self.drain_grace_s
             )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            for conn in conns:
+                if not conn.closed.done():
+                    conn.transport.abort()
         self._server = None
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
-        self._m_conns.inc()
-        protocol = TextProtocolServer(
-            self.node, self.clock, telemetry=self.telemetry
-        )
-        try:
-            await self._serve_connection(reader, writer, protocol)
-        except (OSError, EOFError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-request; nothing left to answer
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        protocol: TextProtocolServer,
-    ) -> None:
-        while not self._closing:
-            chunk = await reader.read(RECV_CHUNK)
-            if not chunk:
-                return
-            self._m_bytes_in.inc(len(chunk))
-            if self.fault_policy is not None:
-                kind, delay = self.fault_policy.disposition(self.node.name)
-                if kind == "drop":
-                    self._m_drops.inc()
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-                    return
-                if kind == "delay" and delay > 0:
-                    await asyncio.sleep(delay)
-                    if self._closing:
-                        return
-            if self._obs:
-                execute_before = protocol.execute_seconds
-                feed_start = time.perf_counter()
-                responses = protocol.feed(chunk)
-                feed_elapsed = time.perf_counter() - feed_start
-                execute_delta = protocol.execute_seconds - execute_before
-                self._m_parse.observe(max(0.0, feed_elapsed - execute_delta))
-            else:
-                responses = protocol.feed(chunk)
-            if responses:
-                if self._obs:
-                    write_start = time.perf_counter()
-                    writer.write(responses)
-                    self._m_bytes_out.inc(len(responses))
-                    await writer.drain()
-                    self._m_write.observe(time.perf_counter() - write_start)
-                else:
-                    writer.write(responses)
-                    self._m_bytes_out.inc(len(responses))
-                    await writer.drain()
 
 
 class LiveClusterHarness:

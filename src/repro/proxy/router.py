@@ -38,6 +38,7 @@ from repro.errors import (
     ConfigurationError,
     MembershipError,
     TransportError,
+    WireProtocolError,
 )
 from repro.hashing.hashutil import hash32
 from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
@@ -297,7 +298,12 @@ class ProxyRouter:
         flags: int,
         exptime: float,
     ) -> bool | None:
-        """Breaker-guarded ``set``; None when rejected or failed."""
+        """Breaker-guarded ``set``; None when rejected or failed.
+
+        A backend error line (``SERVER_ERROR object too large``) still
+        counts as a success for the breaker -- the backend answered --
+        and re-raises :class:`~repro.errors.WireProtocolError`.
+        """
         breaker = self.breakers[backend]
         if not breaker.allow():
             return None
@@ -308,8 +314,21 @@ class ProxyRouter:
         except TransportError:
             breaker.record_failure()
             return None
+        except WireProtocolError:
+            breaker.record_success()
+            raise
         breaker.record_success()
         return stored
+
+    async def _copy(self, backend: str, key: str, value: Value) -> bool:
+        """Best-effort replica copy; a refused copy is just not made."""
+        flags, payload = value
+        try:
+            return bool(
+                await self._guarded_set(backend, key, payload, flags, 0.0)
+            )
+        except WireProtocolError:
+            return False
 
     async def _guarded_delete(self, backend: str, key: str) -> bool | None:
         """Breaker-guarded ``delete``; None when rejected or failed."""
@@ -458,12 +477,8 @@ class ProxyRouter:
         self, key: str, backends: list[str], value: Value
     ) -> None:
         """Refresh replicas that missed during a winning fan-out."""
-        flags, payload = value
         for backend in backends:
-            stored = await self._guarded_set(
-                backend, key, payload, flags, 0.0
-            )
-            if stored:
+            if await self._copy(backend, key, value):
                 self._m_repairs.inc()
 
     # ------------------------------------------------------------------
@@ -497,14 +512,11 @@ class ProxyRouter:
         value = await self._admitted_get(primary, key)
         if value is None:
             return ()
-        flags, payload = value
-        copied = []
-        for backend in targets:
-            stored = await self._guarded_set(
-                backend, key, payload, flags, 0.0
-            )
-            if stored:
-                copied.append(backend)
+        copied = [
+            backend
+            for backend in targets
+            if await self._copy(backend, key, value)
+        ]
         if copied:
             self.replicas.promote(key, copied)
         return tuple(copied)
@@ -547,13 +559,16 @@ class ProxyRouter:
             self._m_degraded["set"].inc()
             return False
         primary = self.ring.node_for_key(key)
-        stored = await self._guarded_set(
-            primary, key, payload, flags, exptime
-        )
+        try:
+            stored = await self._guarded_set(
+                primary, key, payload, flags, exptime
+            )
+        finally:
+            # Even a refused write may have dropped the old value.
+            await self._invalidate_replicas(key)
         if stored is None:
             self._m_degraded["set"].inc()
             stored = False
-        await self._invalidate_replicas(key)
         return bool(stored)
 
     async def delete(self, key: str) -> bool:

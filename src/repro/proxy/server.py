@@ -8,9 +8,11 @@ executed through a :class:`~repro.proxy.router.ProxyRouter`, which is
 where coalescing, hot-key replication, and circuit breaking happen; the
 listener itself stays a thin protocol adapter.
 
-Commands are handled sequentially per connection (the protocol is
-request/response ordered) but concurrently *across* connections, which
-is what lets the coalescer collapse a thundering herd of clients.
+Each connection (:class:`_ProxyConn`) frames command lines and ``set``
+payloads itself and runs them strictly in order in one worker task (the
+protocol is request/response ordered), but concurrently *across*
+connections, which is what lets the coalescer collapse a thundering
+herd of clients.
 
 Unlike a node server, the proxy never surfaces backend trouble to a
 client: a dead backend degrades ``get`` to a miss and ``set`` to
@@ -26,12 +28,13 @@ every other harness in the repo.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Iterable
 
 from repro.check.loopcheck import create_sanitizer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WireProtocolError
 from repro.faults.sockets import SocketFaultPolicy
-from repro.net.runtime import EventLoopThread
+from repro.net.runtime import RECV_CHUNK, EventLoopThread
 from repro.net.server import LiveClusterHarness
 from repro.obs import Telemetry, create_telemetry
 from repro.obs.livetrace import (
@@ -48,7 +51,143 @@ CRLF = b"\r\n"
 MAX_LINE = 8192
 """Longest accepted command line (multi-key gets stay well under it)."""
 
+MAX_PIPELINE = 256
+"""Framed commands queued per connection before reading pauses."""
+
 PROXY_VERSION = b"VERSION repro-proxy-1.0-elmem" + CRLF
+
+
+def _set_header(args: list[str]) -> tuple[int, float, int] | bytes:
+    """``set <key> <flags> <exptime> <bytes> [noreply]`` arguments ->
+    ``(flags, exptime, size)``, or the error reply for a bad header."""
+    if len(args) not in (4, 5):
+        return b"CLIENT_ERROR bad command line format" + CRLF
+    try:
+        flags, exptime, size = int(args[1]), float(args[2]), int(args[3])
+    except ValueError:
+        return b"CLIENT_ERROR bad command line format" + CRLF
+    if size < 0:
+        return b"CLIENT_ERROR bad data chunk" + CRLF
+    return flags, exptime, size
+
+
+class _ProxyConn(asyncio.BufferedProtocol):
+    """One client connection: framed here, executed in order by a worker."""
+
+    def __init__(self, server: ProxyServer) -> None:
+        self.server = server
+        self.transport: asyncio.Transport  # set once connected
+        self.chunk = memoryview(bytearray(RECV_CHUNK))
+        self.buf = bytearray()
+        # (command words, set payload + CRLF); None words: line too long.
+        self.commands: deque[tuple[list[str] | None, bytes]] = deque()
+        self.set_words: list[str] | None = None  # a set awaiting its payload
+        self.set_size = 0
+        self.eof = False
+        self.backlog = False  # the client is not draining our replies
+        self.ready = asyncio.Event()  # commands were queued, or EOF
+        self.worker: asyncio.Task[None]  # started once connected
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.worker = asyncio.get_running_loop().create_task(self._work())
+        self.server._conns.add(self)
+        self.server._m_conns.inc()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.eof_received()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.ready.set()
+        return True  # keep the write side open for queued replies
+
+    def pause_writing(self) -> None:
+        self.backlog = True
+        self._flow()
+
+    def resume_writing(self) -> None:
+        self.backlog = False
+        self._flow()
+
+    def _flow(self) -> None:
+        """Read while the queue has room and replies drain."""
+        if self.backlog or len(self.commands) >= MAX_PIPELINE:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
+        buf = self.buf
+        buf += self.chunk[:nbytes]
+        pos = 0
+        while True:
+            if self.set_words is not None:
+                end = pos + self.set_size + 2
+                if len(buf) < end:
+                    break
+                self.commands.append((self.set_words, bytes(buf[pos:end])))
+                self.set_words, pos = None, end
+                continue
+            end = buf.find(CRLF, pos)
+            if (end if end >= 0 else len(buf)) - pos > MAX_LINE:
+                self.commands.append((None, b""))  # the worker stops here
+                pos = len(buf)
+                break
+            if end < 0:
+                break
+            words = buf[pos:end].decode("utf-8", "replace").split()
+            pos = end + 2
+            if words and words[0].lower() == "set":
+                header = _set_header(words[1:])
+                if isinstance(header, tuple):
+                    self.set_words, self.set_size = words, header[2]
+                    continue
+            self.commands.append((words, b""))
+        del buf[:pos]
+        self._flow()
+        self.ready.set()
+
+    async def _work(self) -> None:
+        """Run the queued commands in order; close when done."""
+        server = self.server
+        # Trace context announced by a `trace` framing line, consumed by
+        # the next command on this connection.
+        pending_trace: TraceContext | None = None
+        try:
+            while self.commands or not self.eof:
+                if not self.commands:
+                    self._flow()
+                    self.ready.clear()
+                    await self.ready.wait()
+                    continue
+                words, block = self.commands.popleft()
+                if words is None:
+                    self._write(b"CLIENT_ERROR line too long" + CRLF)
+                    return
+                server._m_commands.inc()
+                if words and words[0].lower() == "trace":
+                    pending_trace = parse_trace_args(words[1:])
+                    if pending_trace is None:
+                        server._m_protocol_errors.inc()
+                        self._write(b"CLIENT_ERROR bad trace frame" + CRLF)
+                    continue
+                trace_ctx, pending_trace = pending_trace, None
+                response = await server._execute(words, block, trace_ctx)
+                if response is None:
+                    return  # quit
+                self._write(response)
+        finally:
+            self.transport.close()
+            server._conns.discard(self)
+
+    def _write(self, data: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(data)
 
 
 class ProxyServer:
@@ -78,9 +217,7 @@ class ProxyServer:
         self.port = port
         self.drain_grace_s = drain_grace_s
         self._server: asyncio.Server | None = None
-        self._closing = False
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._conns: set[_ProxyConn] = set()
         telemetry = telemetry or router.telemetry
         metrics = telemetry.metrics
         self._m_conns = metrics.counter(
@@ -103,10 +240,10 @@ class ProxyServer:
         """Bind and start accepting connections; idempotent."""
         if self._server is not None:
             return self
-        self._closing = False
-        self.router.bind_loop(asyncio.get_running_loop())
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=MAX_LINE
+        loop = asyncio.get_running_loop()
+        self.router.bind_loop(loop)
+        self._server = await loop.create_server(
+            lambda: _ProxyConn(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -123,83 +260,20 @@ class ProxyServer:
         server = self._server
         if server is None:
             return
-        self._closing = True
         server.close()
         await server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        if self._tasks:
-            done, pending = await asyncio.wait(
-                self._tasks, timeout=self.drain_grace_s
+        conns = list(self._conns)
+        for conn in conns:
+            conn.transport.close()
+        if conns:
+            _, pending = await asyncio.wait(
+                [conn.worker for conn in conns], timeout=self.drain_grace_s
             )
             for task in pending:
                 task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            await asyncio.gather(*pending, return_exceptions=True)
         await self.router.close()
         self._server = None
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
-        self._m_conns.inc()
-        try:
-            await self._serve_connection(reader, writer)
-        except (OSError, EOFError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-command; nothing left to answer
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Trace context announced by a `trace` framing line, consumed by
-        # the next command on this connection.
-        pending_trace: TraceContext | None = None
-        while not self._closing:
-            try:
-                line = await reader.readuntil(CRLF)
-            except asyncio.IncompleteReadError:
-                return
-            except asyncio.LimitOverrunError:
-                writer.write(b"CLIENT_ERROR line too long" + CRLF)
-                await writer.drain()
-                return
-            self._m_commands.inc()
-            text = line[:-2].decode("utf-8", "replace")
-            first = text.split(None, 1)[0].lower() if text.split() else ""
-            if first == "trace":
-                ctx = parse_trace_args(text.split()[1:])
-                if ctx is None:
-                    pending_trace = None
-                    self._m_protocol_errors.inc()
-                    writer.write(b"CLIENT_ERROR bad trace frame" + CRLF)
-                    await writer.drain()
-                else:
-                    pending_trace = ctx
-                continue
-            trace_ctx, pending_trace = pending_trace, None
-            response = await self._execute(text, reader, trace_ctx)
-            if response is None:
-                return  # quit
-            if response:
-                writer.write(response)
-                await writer.drain()
 
     # ------------------------------------------------------------------
     # Command execution
@@ -207,18 +281,17 @@ class ProxyServer:
 
     async def _execute(
         self,
-        line: str,
-        reader: asyncio.StreamReader,
+        parts: list[str],
+        block: bytes,
         trace_ctx: TraceContext | None = None,
     ) -> bytes | None:
-        """Run one command line; ``None`` means close the connection."""
-        parts = line.split()
+        """Run one command (plus a set's payload); None closes."""
         if not parts:
             return b"ERROR" + CRLF
         command = parts[0].lower()
         args = parts[1:]
         if command in ROUTED_COMMANDS:
-            return await self._execute_routed(command, args, reader, trace_ctx)
+            return await self._execute_routed(command, args, block, trace_ctx)
         if command == "stats":
             if args and args[0] == "obs":
                 return self._cmd_stats_obs()
@@ -237,7 +310,7 @@ class ProxyServer:
         self,
         command: str,
         args: list[str],
-        reader: asyncio.StreamReader,
+        block: bytes,
         trace_ctx: TraceContext | None,
     ) -> bytes:
         """Run one backend-fanning command under a trace span.
@@ -246,7 +319,8 @@ class ProxyServer:
         joins its trace; without one the proxy is the trace root and the
         sampler decides.  The resulting context rides the ambient
         :data:`CURRENT_CONTEXT` so :class:`~repro.net.client.NodeClient`
-        picks it up when it hits the backends.
+        picks it up when it hits the backends.  A backend that answers
+        with an error line fails this one command with ``SERVER_ERROR``.
         """
         live = self.router.telemetry.live
         span = None
@@ -263,10 +337,13 @@ class ProxyServer:
             if command in ("get", "gets"):
                 return await self._cmd_get(args, with_cas=command == "gets")
             if command == "set":
-                return await self._cmd_set(args, reader)
+                return await self._cmd_set(args, block)
             if command == "delete":
                 return await self._cmd_delete(args)
             return await self._cmd_arith(args, command)
+        except WireProtocolError as exc:  # the backend refused this one
+            reason = str(exc).split(" ", 1)[-1]
+            return f"SERVER_ERROR {reason}".encode("utf-8") + CRLF
         finally:
             if token is not None:
                 CURRENT_CONTEXT.reset(token)
@@ -293,30 +370,19 @@ class ProxyServer:
         chunks.append(b"END" + CRLF)
         return b"".join(chunks)
 
-    async def _cmd_set(
-        self, args: list[str], reader: asyncio.StreamReader
-    ) -> bytes:
-        # set <key> <flags> <exptime> <bytes> [noreply-token ignored]
-        if len(args) not in (4, 5):
+    async def _cmd_set(self, args: list[str], block: bytes) -> bytes:
+        # set <key> <flags> <exptime> <bytes> [noreply-token ignored];
+        # the listener framed the payload only for a well-formed header.
+        header = _set_header(args)
+        if isinstance(header, bytes):
             self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        key = args[0]
-        try:
-            flags = int(args[1])
-            exptime = float(args[2])
-            size = int(args[3])
-        except ValueError:
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if size < 0:
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad data chunk" + CRLF
-        block = await reader.readexactly(size + 2)
+            return header
         if block[-2:] != CRLF:
             self._m_protocol_errors.inc()
             return b"CLIENT_ERROR bad data chunk" + CRLF
+        flags, exptime, _ = header
         stored = await self.router.set(
-            key, block[:-2], flags=flags, exptime=exptime
+            args[0], block[:-2], flags=flags, exptime=exptime
         )
         return (b"STORED" if stored else b"NOT_STORED") + CRLF
 

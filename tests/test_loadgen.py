@@ -159,6 +159,13 @@ class StallEveryChunk:
         return ("delay", self.delay_s)
 
 
+class Samples(list):
+    """Histogram stand-in that keeps every observation, in order."""
+
+    def observe(self, value: float) -> None:
+        self.append(value)
+
+
 class TestOpenLoopRuns:
     def run_generator(self, harness: LiveClusterHarness, **kwargs):
         schedule = kwargs.pop("schedule")
@@ -220,6 +227,25 @@ class TestOpenLoopRuns:
         assert report.tape_sha256 == tape_sha256(schedule)
         assert report.late_sends == generator.late_sends
         assert report.achieved_rate < 200.0
+
+    def test_response_is_never_below_service(self):
+        # One 50 ms wave ships at its start, so most of its ops leave
+        # ahead of their deadlines: their response time counts from the
+        # actual send, never from a later deadline (which would report
+        # less than the op's own round trip, or zero).
+        schedule = build_schedule(
+            400.0, 0.05, seed=8, num_keys=20, set_fraction=0.5
+        )
+        with LiveClusterHarness(["s0"], MEMORY) as harness:
+            generator = LoadGenerator(
+                harness.endpoints, schedule, tick_s=0.05
+            )
+            generator.response_hist = Samples()
+            generator.service_hist = Samples()
+            asyncio.run(generator.run())
+        response, service = generator.response_hist, generator.service_hist
+        assert generator.ops_ok == len(response) == len(service) > 1
+        assert all(r >= s for r, s in zip(response, service))
 
     def test_membership_swap_validates_and_rebinds(self):
         schedule = build_schedule(100.0, 0.1, seed=1, num_keys=20)

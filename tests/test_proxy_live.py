@@ -15,6 +15,7 @@ backend node servers.  These are the acceptance tests of the proxy PR:
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -97,6 +98,42 @@ class TestProxyWire:
                 assert loop.call(direct.get(key)) == (0, b"v")
                 loop.call(direct.close())
             loop.call(client.close())
+
+
+def read_until(sock: socket.socket, terminator: bytes) -> bytes:
+    data = b""
+    while not data.endswith(terminator):
+        chunk = sock.recv(4096)
+        assert chunk, f"connection closed after {data!r}"
+        data += chunk
+    return data
+
+
+class TestBackendErrorReplies:
+    def test_server_error_answers_one_set_and_keeps_the_connection(
+        self, loop
+    ):
+        """A full node refuses a set of a slab class that owns no page:
+        that one command answers SERVER_ERROR, the client's connection
+        stays open and answers the next get, and the breaker -- the
+        backend did answer -- stays closed."""
+        with ProxyHarness(["n0"], 2 * PAGE_SIZE, drain_grace_s=0.2) as harness:
+            node = harness.backends.nodes["n0"]
+            direct = NodeClient("n0", *harness.backends.endpoints["n0"])
+            fill = [(f"fill:{i}", 0, b"x" * 100) for i in range(12_000)]
+            loop.call(direct.set_many(fill), timeout=60.0)
+            loop.call(direct.close())
+            assert node.stats.evictions > 0  # every page is taken
+            with socket.create_connection(
+                harness.proxy_endpoint, timeout=5.0
+            ) as sock:
+                sock.sendall(b"set big 0 0 5000\r\n" + b"y" * 5000 + b"\r\n")
+                assert read_until(sock, b"\r\n").startswith(b"SERVER_ERROR")
+                sock.sendall(b"get fill:11999\r\n")
+                assert read_until(sock, b"END\r\n") == (
+                    b"VALUE fill:11999 0 100\r\n" + b"x" * 100 + b"\r\nEND\r\n"
+                )
+            assert harness.breaker_state("n0") == CLOSED
 
 
 class TestCoalescing:
