@@ -664,6 +664,82 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _parse_targets(specs: list[str]) -> dict[str, tuple[str, int]]:
+    endpoints: dict[str, tuple[str, int]] = {}
+    for index, spec in enumerate(specs):
+        name, eq, rest = spec.partition("=")
+        if not eq:
+            name, rest = f"target-{index:02d}", spec
+        endpoints[name] = _parse_endpoint(rest)
+    return endpoints
+
+
+def _finish_scenario(
+    args: argparse.Namespace,
+    payload: dict,
+    ok: bool,
+    window_key: str,
+    window_keys: tuple[str, ...] = (),
+) -> int:
+    """Print a live scenario's artifact, write its files; exit code.
+
+    Every top-level field prints as one line of compact JSON (cut short
+    past 72 characters -- the ``--json`` file has it whole); the
+    ``window_key`` block is split into its own fields plus one line for
+    the degradation window.  ``--window-json`` (where the subcommand
+    has it) writes the ``window_keys`` subset of the artifact.
+    """
+    import json
+
+    from repro.loadgen.runner import WINDOW_FIELDS
+
+    window = payload.get(window_key) or {}
+    for key, value in payload.items():
+        if key == "failures":
+            continue
+        rows = (
+            [(key, value)]
+            if key != window_key
+            else [
+                (f"{key}.{field}", item)
+                for field, item in window.items()
+                if field not in WINDOW_FIELDS
+            ]
+        )
+        for label, item in rows:
+            text = json.dumps(item)
+            if len(text) > 72:
+                text = text[:69] + "..."
+            print(f"  {label:<28} {text}")
+    if window:
+        measured = window.get("window_s")
+        print(
+            f"  {'degradation window':<28} "
+            f"{'unmeasured' if measured is None else f'{measured:.3f}s'} "
+            f"(killed at {window.get('killed_at_s')}s, recovered at "
+            f"{window.get('recovered_at_s')}s, "
+            f"{window.get('errors_in_window')} errors inside)"
+        )
+    for failure in payload.get("failures", []):
+        print(f"    FAIL: {failure}")
+    print(f"  {'verdict':<28} {'OK' if ok else 'FAILED'}")
+    outputs = [
+        (args.json, payload),
+        (
+            getattr(args, "window_json", None),
+            {key: payload[key] for key in window_keys},
+        ),
+    ]
+    for path, data in outputs:
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle, indent=2)
+            print(f"  wrote {path}")
+    if getattr(args, "trace_jsonl", None):
+        print(f"  wrote {args.trace_jsonl}")
+    return 0 if ok else 1
+
+
 def _cmd_proxy_chaos(args: argparse.Namespace) -> int:
     from repro.proxy import run_proxy_chaos
 
@@ -680,64 +756,13 @@ def _cmd_proxy_chaos(args: argparse.Namespace) -> int:
         trace_sample=args.trace_sample,
         trace_jsonl=args.trace_jsonl,
     )
-    print(f"  requests          {result.requests_total}")
-    print(f"  transport errors  {result.client_transport_errors}")
-    print(
-        f"  hits/misses       {result.hits}/{result.misses} "
-        f"(stored {result.stored}, rejected sets {result.rejected_sets})"
+    return _finish_scenario(
+        args,
+        result.to_dict(),
+        result.ok,
+        "degradation",
+        window_keys=("degradation", "obs_scrape"),
     )
-    print(
-        f"  breaker           opened={result.breaker_opened} "
-        f"recovered={result.breaker_recovered} "
-        f"transitions={result.transitions}"
-    )
-    print(
-        f"  victim            {result.victim} "
-        f"(served after restart: {result.victim_served_after_restart})"
-    )
-    window = result.degradation.get("window_s")
-    window_text = f"{window:.3f}s" if window is not None else "unmeasured"
-    print(
-        f"  degradation       window {window_text} "
-        f"(killed at {result.degradation.get('killed_at_s')}s, "
-        f"recovered at {result.degradation.get('recovered_at_s')}s)"
-    )
-    for phase, numbers in result.degradation.get("phases", {}).items():
-        print(
-            f"    {phase:<9} p99 {numbers.get('p99_ms')}ms  "
-            f"hit rate {numbers.get('hit_rate')}"
-        )
-    scrape = result.obs_scrape
-    print(
-        f"  obs scrape        ok={scrape.get('ok')} "
-        f"({scrape.get('samples', 0)} samples, "
-        f"missing: {scrape.get('missing', []) or 'none'})"
-    )
-    print(f"  trace spans       {result.trace_spans}")
-    print(f"  wall clock        {result.elapsed_s:.2f}s")
-    print(f"  verdict           {'OK' if result.ok else 'FAILED'}")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"  wrote {args.json}")
-    if args.window_json:
-        import json
-
-        with open(args.window_json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "degradation": result.degradation,
-                    "obs_scrape": result.obs_scrape,
-                },
-                handle,
-                indent=2,
-            )
-        print(f"  wrote {args.window_json}")
-    if args.trace_jsonl:
-        print(f"  wrote {args.trace_jsonl}")
-    return 0 if result.ok else 1
 
 
 def _cmd_controlplane(args: argparse.Namespace) -> int:
@@ -752,12 +777,7 @@ def _cmd_controlplane(args: argparse.Namespace) -> int:
     from repro.net.cluster import LiveCluster
     from repro.obs import create_telemetry
 
-    endpoints: dict[str, tuple[str, int]] = {}
-    for index, spec in enumerate(args.target):
-        name, eq, rest = spec.partition("=")
-        if not eq:
-            name, rest = f"target-{index:02d}", spec
-        endpoints[name] = _parse_endpoint(rest)
+    endpoints = _parse_targets(args.target)
     telemetry = create_telemetry("controlplane")
     engine = ScalingEngine(
         AutoScaler(
@@ -856,68 +876,13 @@ def _cmd_controlplane_scenario(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         trace_jsonl=args.trace_jsonl,
     )
-    decision = result.decision or {}
-    print(
-        f"  decision          {decision.get('current_nodes')} -> "
-        f"{decision.get('target_nodes')} nodes "
-        f"(p_min {decision.get('p_min')}, "
-        f"rate {decision.get('request_rate')} rps, "
-        f"confirmed x{decision.get('confirm_rounds')})"
+    return _finish_scenario(
+        args,
+        result.to_dict(),
+        result.ok,
+        "degradation",
+        window_keys=("decision", "degradation", "admin"),
     )
-    migration = result.migration or {}
-    print(
-        f"  migration         {migration.get('changed')} retired, "
-        f"outcome {migration.get('outcome')} "
-        f"({migration.get('items_exported')} items exported)"
-    )
-    window = result.degradation.get("window_s")
-    window_text = f"{window:.3f}s" if window is not None else "unmeasured"
-    print(
-        f"  degradation       window {window_text} "
-        f"(killed at {result.degradation.get('killed_at_s')}s, "
-        f"recovered at {result.degradation.get('recovered_at_s')}s, "
-        f"{result.degradation.get('errors_in_window')} errors inside)"
-    )
-    admin = result.admin
-    print(
-        f"  admin API         {admin.get('endpoint')} "
-        f"status={admin.get('status_ok')} "
-        f"metrics={admin.get('metrics_ok')} "
-        f"rejects-malformed={admin.get('rejects_malformed')}"
-    )
-    print(
-        f"  load              {result.load.get('ops_ok')} ops ok, "
-        f"{result.load.get('wire_errors')} wire errors, "
-        f"p99 {result.load.get('response_ms', {}).get('p99')}ms"
-    )
-    print(f"  trace spans       {result.trace_spans}")
-    print(f"  wall clock        {result.elapsed_s:.2f}s")
-    print(f"  verdict           {'OK' if result.ok else 'FAILED'}")
-    for failure in result.failures:
-        print(f"    FAIL: {failure}")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"  wrote {args.json}")
-    if args.window_json:
-        import json
-
-        with open(args.window_json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "decision": result.decision,
-                    "degradation": result.degradation,
-                    "admin": result.admin,
-                },
-                handle,
-                indent=2,
-            )
-        print(f"  wrote {args.window_json}")
-    if args.trace_jsonl:
-        print(f"  wrote {args.trace_jsonl}")
-    return 0 if result.ok else 1
 
 
 def _cmd_live_migrate(args: argparse.Namespace) -> int:
@@ -952,50 +917,12 @@ def _cmd_live_migrate(args: argparse.Namespace) -> int:
         sanitize=args.sanitize,
         process_cluster=args.procs,
     )
-    print(
-        f"  outcome      {result.outcome} "
-        f"({result.completed_pairs} pairs, "
-        f"{result.failed_flows} failed flows)"
+    return _finish_scenario(
+        args,
+        result.to_dict(),
+        result.warm and result.verified is not False,
+        "degradation",
     )
-    print(f"  retired      {', '.join(result.retired)}")
-    print(f"  membership   {', '.join(result.membership_after)}")
-    print(
-        f"  items        {result.items_seeded} seeded, "
-        f"{result.items_exported} exported, "
-        f"{result.items_imported} imported"
-    )
-    if result.degradation_window_s is not None:
-        print(
-            f"  degradation  {result.degradation_window_s:.3f}s "
-            "(membership in flux during execute)"
-        )
-    if result.trace_spans:
-        print(f"  trace spans  {result.trace_spans}")
-    print(f"  wall clock   {result.wall_seconds:.2f}s")
-    if result.verified is None:
-        print("  equivalence  skipped (--no-verify)")
-    elif result.verified:
-        print("  equivalence  OK: contents byte-identical to the "
-              "in-process migration")
-    else:
-        print(
-            "  equivalence  MISMATCH on "
-            f"{', '.join(result.mismatched_nodes)}"
-        )
-    if args.sanitize:
-        # run_live_migration raises InvariantViolation before reaching
-        # here if either loop recorded a hazard.
-        print("  sanitizer    clean (asyncio debug + blocking-call trap)")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"  wrote {args.json}")
-    if args.trace_jsonl:
-        print(f"  wrote {args.trace_jsonl}")
-    ok = result.warm and result.verified is not False
-    return 0 if ok else 1
 
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
@@ -1044,44 +971,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_load_report(report: "object") -> None:
-    data = report.to_dict()  # type: ignore[attr-defined]
-    print(
-        f"  offered      {data['offered_rate']:.0f} ops/s for "
-        f"{data['duration_s']:.0f}s ({data['ops_total']} ops)"
-    )
-    print(
-        f"  achieved     {data['achieved_rate']:.0f} ops/s "
-        f"({data['ops_ok']} ok, {data['late_sends']} late, "
-        f"{data['transport_errors']} transport / "
-        f"{data['wire_errors']} wire errors)"
-    )
-    print(
-        f"  outcomes     {data['hits']} hits, {data['misses']} misses, "
-        f"{data['stored']} stored"
-    )
-    for label, title in (
-        ("response_ms", "response"),
-        ("service_ms", "service"),
-        ("lateness_ms", "lateness"),
-    ):
-        q = data[label]
-        print(
-            f"  {title:<12} p50 {q['p50']} ms, p95 {q['p95']} ms, "
-            f"p99 {q['p99']} ms"
-        )
-    migration = data.get("migration")
-    if migration:
-        print(
-            f"  migration    {migration['outcome']}: retired "
-            f"{', '.join(migration['retired'])}; window "
-            f"{migration['killed_at_s']}s -> "
-            f"{migration['recovered_at_s']}s "
-            f"({migration['window_s']}s, "
-            f"{migration['errors_in_window']} errors)"
-        )
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.loadgen import run_load, run_load_migration
     from repro.memcached.slab import PAGE_SIZE
@@ -1091,6 +980,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "--migrate needs process control over its own cluster; "
             "drop --target"
         )
+    common = dict(
+        rate=args.rate,
+        duration_s=args.duration,
+        seed=args.seed,
+        nodes=args.nodes,
+        memory_per_node=args.memory_mb * PAGE_SIZE,
+        num_keys=args.keys,
+        set_fraction=args.set_fraction,
+        value_bytes=args.value_bytes,
+        trace=args.trace,
+        timeout_s=args.timeout,
+    )
     if args.migrate:
         print(
             f"open-loop load + scale-in: {args.nodes} node processes, "
@@ -1098,28 +999,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"{args.migrate_at:.0%} of {args.duration:.0f}s..."
         )
         report = run_load_migration(
-            rate=args.rate,
-            duration_s=args.duration,
-            seed=args.seed,
-            nodes=args.nodes,
-            retire=args.retire,
-            memory_per_node=args.memory_mb * PAGE_SIZE,
-            num_keys=args.keys,
-            set_fraction=args.set_fraction,
-            value_bytes=args.value_bytes,
-            trace=args.trace,
-            migrate_at_frac=args.migrate_at,
-            timeout_s=args.timeout,
+            retire=args.retire, migrate_at_frac=args.migrate_at, **common
         )
     else:
-        endpoints = None
-        if args.target:
-            endpoints = {}
-            for index, spec in enumerate(args.target):
-                name, eq, rest = spec.partition("=")
-                if not eq:
-                    name, rest = f"target-{index:02d}", spec
-                endpoints[name] = _parse_endpoint(rest)
+        endpoints = _parse_targets(args.target) if args.target else None
         where = (
             f"{len(endpoints)} target endpoints"
             if endpoints is not None
@@ -1129,30 +1012,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"open-loop load: {args.rate:.0f} ops/s for "
             f"{args.duration:.0f}s against {where}..."
         )
-        report = run_load(
-            rate=args.rate,
-            duration_s=args.duration,
-            seed=args.seed,
-            endpoints=endpoints,
-            nodes=args.nodes,
-            memory_per_node=args.memory_mb * PAGE_SIZE,
-            num_keys=args.keys,
-            set_fraction=args.set_fraction,
-            value_bytes=args.value_bytes,
-            trace=args.trace,
-            timeout_s=args.timeout,
-        )
-    _print_load_report(report)
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"  wrote {args.json}")
+        report = run_load(endpoints=endpoints, **common)
     ok = report.ops_ok > 0 and report.wire_errors == 0
     if report.migration is not None:
         ok = ok and report.migration.get("outcome") == "warm"
-    return 0 if ok else 1
+    return _finish_scenario(args, report.to_dict(), ok, "migration")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1193,6 +1057,30 @@ def _add_obs_flags(command: argparse.ArgumentParser) -> None:
         default=0,
         help="seed for the trace sampling/id generator",
     )
+
+
+_SCENARIO_FLAGS: dict[str, dict] = {
+    "--memory-mb": {"type": int, "default": 8, "help": "cache MB per node"},
+    "--timeout": {
+        "type": float,
+        "default": 5.0,
+        "help": "per-socket-operation timeout in seconds",
+    },
+    "--json": {"help": "write the run's JSON artifact to a file"},
+    "--window-json": {
+        "help": "write the degradation window and its verdicts to a file"
+    },
+    "--trace-jsonl": {"help": "export the run's spans as JSON lines"},
+}
+"""Flags the live scenario subcommands share (one meaning each)."""
+
+
+def _add_scenario_flags(
+    parser: argparse.ArgumentParser, *flags: str
+) -> None:
+    for flag in flags:
+        options = {"default": None, **_SCENARIO_FLAGS[flag]}
+        parser.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1480,24 +1368,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=0, help="traffic seed")
     chaos.add_argument(
-        "--json", default=None, help="write the chaos report to a file"
-    )
-    chaos.add_argument(
         "--trace-sample",
         type=float,
         default=0.05,
         help="fraction of proxy requests that start a live trace",
     )
-    chaos.add_argument(
-        "--trace-jsonl",
-        default=None,
-        help="export the run's sampled live spans as JSON lines",
-    )
-    chaos.add_argument(
-        "--window-json",
-        default=None,
-        help="write the degradation window + scrape verdict to a file",
-    )
+    _add_scenario_flags(chaos, "--json", "--window-json", "--trace-jsonl")
     chaos.set_defaults(func=_cmd_proxy_chaos)
 
     cplane = sub.add_parser(
@@ -1615,12 +1491,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keys", type=int, default=3000, help="distinct keys in the tape"
     )
     cpscenario.add_argument(
-        "--memory-mb",
-        type=int,
-        default=8,
-        help="per-node memory in MiB-sized pages",
-    )
-    cpscenario.add_argument(
         "--poll-interval",
         type=float,
         default=0.5,
@@ -1644,24 +1514,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1500,
         help="key samples required before the engine evaluates",
     )
-    cpscenario.add_argument(
+    _add_scenario_flags(
+        cpscenario,
+        "--memory-mb",
         "--timeout",
-        type=float,
-        default=5.0,
-        help="per-socket-operation timeout in seconds",
-    )
-    cpscenario.add_argument(
-        "--json", default=None, help="write the scenario report to a file"
-    )
-    cpscenario.add_argument(
+        "--json",
         "--window-json",
-        default=None,
-        help="write decision + degradation window + admin verdict to a file",
-    )
-    cpscenario.add_argument(
         "--trace-jsonl",
-        default=None,
-        help="export the run's spans + metrics as JSON lines",
     )
     cpscenario.set_defaults(func=_cmd_controlplane_scenario)
 
@@ -1683,23 +1542,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument("--seed", type=int, default=7, help="workload seed")
     live.add_argument(
-        "--memory-mb", type=int, default=8, help="cache MB per node"
-    )
-    live.add_argument(
-        "--timeout", type=float, default=5.0, help="client timeout seconds"
-    )
-    live.add_argument(
         "--no-verify",
         action="store_true",
         help="skip the in-process equivalence replay",
-    )
-    live.add_argument(
-        "--json", default=None, help="write the result summary to a file"
-    )
-    live.add_argument(
-        "--trace-jsonl",
-        default=None,
-        help="trace the migration and export its live spans",
     )
     live.add_argument(
         "--sanitize",
@@ -1711,6 +1556,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--procs",
         action="store_true",
         help="boot each node in its own OS process (shared-nothing)",
+    )
+    _add_scenario_flags(
+        live, "--memory-mb", "--timeout", "--json", "--trace-jsonl"
     )
     live.set_defaults(func=_cmd_live_migrate)
 
@@ -1775,12 +1623,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="node processes to self-host when no --target is given",
     )
     loadgen.add_argument(
-        "--memory-mb",
-        type=int,
-        default=8,
-        help="cache MB per self-hosted node",
-    )
-    loadgen.add_argument(
         "--keys", type=int, default=5000, help="distinct keys in the tape"
     )
     loadgen.add_argument(
@@ -1814,12 +1656,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.35,
         help="when to start the scale-in, as a fraction of --duration",
     )
-    loadgen.add_argument(
-        "--timeout", type=float, default=5.0, help="client timeout seconds"
-    )
-    loadgen.add_argument(
-        "--json", default=None, help="write the load report to a file"
-    )
+    _add_scenario_flags(loadgen, "--memory-mb", "--timeout", "--json")
     loadgen.set_defaults(func=_cmd_loadgen)
 
     bench = sub.add_parser(

@@ -1,15 +1,16 @@
 """End-to-end control-plane scenario: the paper's story on real sockets.
 
-:func:`run_controlplane_scenario` is the CI-facing runner (mirroring
-``run_proxy_chaos``): boot a multi-process cluster, seed it, keep an
-open-loop tape flowing, and let the **control plane decide for itself**
-when to scale -- no scripted ``migrate_at`` moment.  The load
-generator's key stream feeds the engine's profiling window, the daemon's
-stat polls supply the request rate, and the engine's hysteresis must
+:func:`run_controlplane_scenario` is the CI-facing runner, an event
+list over :class:`~repro.loadgen.runner.LiveScenario`: boot a
+multi-process cluster, seed it, keep an open-loop tape flowing, and let
+the **control plane decide for itself** when to scale -- no scripted
+``migrate_at`` moment.  The load generator's key stream feeds the
+engine's profiling window, the daemon's stat polls supply the request
+rate, and the engine's hysteresis must
 confirm the decision before the Master executes the three-phase
 FuseCache scale-in mid-traffic.  The admin API is probed over real HTTP
-while the migration happens, and the report carries the measured
-``killed_at -> recovered_at`` degradation window plus the decision that
+while the migration happens, and the report carries the migration's
+:func:`~repro.loadgen.runner.degradation_window` plus the decision that
 caused it.
 
 The induced decision is honest: the tier starts over-provisioned for
@@ -25,7 +26,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.controlplane.daemon import ControlPlane, ControlPlaneConfig
@@ -35,17 +36,15 @@ from repro.core.autoscaler import (
     ScalingEngine,
     ScalingEngineConfig,
 )
-from repro.core.master import Master
 from repro.errors import ConfigurationError
-from repro.loadgen.driver import LoadGenerator
 from repro.loadgen.runner import (
     DEFAULT_MEMORY_PER_NODE,
-    join_generator,
-    run_generator_thread,
-    seed_keys,
+    Event,
+    LiveScenario,
+    degradation_window,
+    node_names,
 )
 from repro.loadgen.schedule import build_schedule
-from repro.net.cluster import LiveCluster
 from repro.net.procs import ProcessClusterHarness
 from repro.obs import create_telemetry
 
@@ -81,23 +80,7 @@ class ControlPlaneScenarioResult:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dump (the ``--json`` artifact)."""
-        return {
-            "nodes": self.nodes,
-            "retire": self.retire,
-            "offered_rate": self.offered_rate,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "decision": self.decision,
-            "migration": self.migration,
-            "degradation": dict(self.degradation),
-            "admin": dict(self.admin),
-            "engine": dict(self.engine),
-            "load": dict(self.load),
-            "trace_spans": self.trace_spans,
-            "elapsed_s": self.elapsed_s,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _http(
@@ -119,7 +102,12 @@ def _http(
 
 
 def _probe_admin(endpoint: tuple[str, int]) -> dict[str, Any]:
-    """Exercise the admin surface mid-load; returns the verdict block."""
+    """Exercise the admin surface mid-load; returns the verdict block.
+
+    An unreachable API (refused, reset, timed out) is a failed verdict
+    with the ``error`` recorded, never an exception: the scenario wants
+    the probe outcome in its artifact either way.
+    """
     host, port = endpoint
     base = f"http://{host}:{port}"
     verdict: dict[str, Any] = {
@@ -128,20 +116,23 @@ def _probe_admin(endpoint: tuple[str, int]) -> dict[str, Any]:
         "metrics_ok": False,
         "rejects_malformed": False,
     }
-    status_code, status_body = _http("GET", f"{base}/status")
-    if status_code == 200:
-        payload = json.loads(status_body.decode("utf-8"))
-        verdict["status_ok"] = "members" in payload and "engine" in payload
-        verdict["members"] = payload.get("members")
-        verdict["request_rate_rps"] = payload.get("request_rate_rps")
-    metrics_code, metrics_body = _http("GET", f"{base}/metrics")
-    metrics_text = metrics_body.decode("utf-8", "replace")
-    verdict["metrics_ok"] = (
-        metrics_code == 200 and "controlplane_polls_total" in metrics_text
-    )
-    verdict["metrics_bytes"] = len(metrics_body)
-    bad_code, _ = _http("POST", f"{base}/scale", body=b"not json")
-    verdict["rejects_malformed"] = bad_code == 400
+    try:
+        status_code, status_body = _http("GET", f"{base}/status")
+        if status_code == 200:
+            payload = json.loads(status_body.decode("utf-8"))
+            verdict["status_ok"] = "members" in payload and "engine" in payload
+            verdict["members"] = payload.get("members")
+            verdict["request_rate_rps"] = payload.get("request_rate_rps")
+        metrics_code, metrics_body = _http("GET", f"{base}/metrics")
+        metrics_text = metrics_body.decode("utf-8", "replace")
+        verdict["metrics_ok"] = (
+            metrics_code == 200 and "controlplane_polls_total" in metrics_text
+        )
+        verdict["metrics_bytes"] = len(metrics_body)
+        bad_code, _ = _http("POST", f"{base}/scale", body=b"not json")
+        verdict["rejects_malformed"] = bad_code == 400
+    except (urllib.error.URLError, OSError) as exc:
+        verdict["error"] = str(exc)
     return verdict
 
 
@@ -165,12 +156,14 @@ def run_controlplane_scenario(
 ) -> ControlPlaneScenarioResult:
     """Induce one autoscaler-decided live scale-in and measure it.
 
-    Returns a result whose ``ok`` folds in: the engine (not a script)
-    decided the scale-in after ``confirm_rounds`` confirmations; the
-    migration completed warm; the degradation window was measured on
-    the load timeline; the admin API answered status/metrics and
-    rejected a malformed body; and no wire-protocol error leaked into
-    the load stream.
+    A tape plus three events: start the control plane, probe its admin
+    API, then wait (until 90% of the tape) for the engine's confirmed
+    decision to execute.  Returns a result whose ``ok`` folds in: the
+    engine (not a script) decided the scale-in after ``confirm_rounds``
+    confirmations; the migration completed warm; the degradation
+    window was measured on the load timeline; the admin API answered
+    status/metrics and rejected a malformed body; and no wire-protocol
+    error leaked into the load stream.
     """
     if nodes < 3:
         raise ConfigurationError("the scenario needs at least 3 nodes")
@@ -209,72 +202,61 @@ def run_controlplane_scenario(
             cooldown_s=cooldown_s,
         ),
     )
-    failures: list[str] = []
-    names = [f"proc-{index:02d}" for index in range(nodes)]
-    with ProcessClusterHarness(names, memory_per_node) as harness:
-        live = LiveCluster(harness.endpoints, timeout_s=timeout_s)
-        control: ControlPlane | None = None
-        try:
-            seed_keys(live, [op.key for op in schedule], value_bytes)
-            generator = LoadGenerator(
-                harness.endpoints,
-                schedule,
-                timeout_s=timeout_s,
-                key_observer=engine.observe_many,
-            )
-            master = Master(live, telemetry=telemetry)
-            master.subscribe_membership(generator.set_membership)
-            thread, failure = run_generator_thread(generator)
-            if not generator.started.wait(timeout=30.0):
-                raise ConfigurationError("load generator failed to start")
-            control = ControlPlane(
-                live,
-                engine,
-                master=master,
-                config=ControlPlaneConfig(poll_interval_s=poll_interval_s),
-                clock=generator.now,
-                node_stopper=harness.stop_node,
-                telemetry=telemetry,
-            )
-            control.start()
-            # Probe the admin surface while traffic flows and before
-            # the decision can land (the window is still filling).
-            admin = _probe_admin(control.admin_endpoint)
-            # Wait for the engine's confirmed decision to execute.
-            decision_deadline = duration_s * 0.9
-            while (
-                not control.migrations
-                and generator.now() < decision_deadline
-            ):
-                time.sleep(poll_interval_s / 2.0)
-            join_generator(thread, failure, duration_s)
-        finally:
-            if control is not None:
-                control.stop()
-            live.close()
 
-    migration = dict(control.migrations[0]) if control.migrations else None
-    degradation: dict[str, Any] = {
-        "killed_at_s": None,
-        "recovered_at_s": None,
-        "window_s": None,
-        "errors_in_window": 0,
-    }
-    decision: dict[str, Any] | None = None
+    def start_control(scenario: LiveScenario) -> ControlPlane:
+        control = ControlPlane(
+            scenario.live,
+            engine,
+            master=scenario.master,
+            config=ControlPlaneConfig(poll_interval_s=poll_interval_s),
+            clock=scenario.now,
+            node_stopper=scenario.harness.stop_node,
+            telemetry=telemetry,
+        )
+        control.start()
+        scenario.defer(control.stop)
+        return control
+
+    control = Event("control", start_control)
+    # Probe the admin surface while traffic flows and before the
+    # decision can land (the window is still filling).
+    admin = Event(
+        "admin", lambda s: _probe_admin(control.result.admin_endpoint)
+    )
+    decision_event = Event(
+        "decision",
+        until=lambda s: (
+            bool(control.result.migrations) or s.now() >= duration_s * 0.9
+        ),
+        timeout_s=duration_s,
+        poll_s=poll_interval_s / 2.0,
+    )
+    generator = LiveScenario(
+        ProcessClusterHarness(node_names(nodes), memory_per_node),
+        [control, admin, decision_event],
+        schedule,
+        seed_value_bytes=value_bytes,
+        telemetry=telemetry,
+        cluster_options={"timeout_s": timeout_s},
+        generator_options={
+            "timeout_s": timeout_s,
+            "key_observer": engine.observe_many,
+        },
+    ).run().generator
+    assert generator is not None
+
+    failures: list[str] = []
+    migrations = control.result.migrations
+    migration = dict(migrations[0]) if migrations else None
     if migration is None:
         failures.append("the engine never executed a scale decision")
+        degradation = degradation_window(None, None, ())
     else:
-        killed_at = migration["killed_at_s"]
-        window_errors = [
-            t for t, _ in generator.error_timeline if t >= killed_at
-        ]
-        recovered_at = max([migration["executed_at_s"], *window_errors])
-        degradation = {
-            "killed_at_s": killed_at,
-            "recovered_at_s": round(recovered_at, 3),
-            "window_s": round(recovered_at - killed_at, 3),
-            "errors_in_window": len(window_errors),
-        }
+        degradation = degradation_window(
+            migration["killed_at_s"],
+            migration["executed_at_s"],
+            generator.error_timeline,
+        )
         if migration["source"] != "autoscaler":
             failures.append(
                 f"scale-in came from {migration['source']!r}, "
@@ -286,30 +268,25 @@ def run_controlplane_scenario(
             failures.append(
                 f"retired {migration['changed']}, wanted {retire} nodes"
             )
+    decision: dict[str, Any] | None = None
     confirmed = [tick for tick in engine.history if tick.act]
     if confirmed:
         acted = confirmed[0].decision
         decision = {
-            "target_nodes": acted.target_nodes,
-            "current_nodes": acted.current_nodes,
+            **asdict(acted),
             "p_min": round(acted.p_min, 4),
             "request_rate": round(acted.request_rate, 1),
-            "required_bytes": acted.required_bytes,
-            "reason": acted.reason,
             "confirm_rounds": confirm_rounds,
             "source": "autoscaler",
         }
     for check in ("status_ok", "metrics_ok", "rejects_malformed"):
-        if not admin.get(check):
+        if not admin.result.get(check):
             failures.append(f"admin API check failed: {check}")
-    load = generator.report(
-        "controlplane", rate, duration_s, seed
-    ).to_dict()
-    if load["ops_ok"] == 0:
+    load = generator.report("controlplane", rate, duration_s, seed)
+    if load.ops_ok == 0:
         failures.append("no operation completed")
-    if load["wire_errors"]:
-        failures.append(f"{load['wire_errors']} wire errors in the stream")
-    trace_spans = len(telemetry.tracer.roots)
+    if load.wire_errors:
+        failures.append(f"{load.wire_errors} wire errors in the stream")
     if trace_jsonl:
         from repro.obs.export import write_jsonl
 
@@ -328,10 +305,10 @@ def run_controlplane_scenario(
         decision=decision,
         migration=migration,
         degradation=degradation,
-        admin=admin,
+        admin=admin.result,
         engine=engine.snapshot(),
-        load=load,
-        trace_spans=trace_spans,
+        load=load.to_dict(),
+        trace_spans=len(telemetry.tracer.roots),
         elapsed_s=round(time.perf_counter() - started_wall, 3),
         failures=failures,
     )

@@ -22,11 +22,10 @@ silently rescheduled.
 - :mod:`repro.loadgen.report` -- the JSON report schema
   (:class:`~repro.loadgen.report.LoadReport`) with a round-trippable
   ``to_dict``/``from_dict`` pair;
-- :mod:`repro.loadgen.runner` -- end-to-end runs for the CLI and CI:
-  steady-state load against a :class:`~repro.net.procs.ProcessClusterHarness`
-  (or external endpoints), and the ``--migrate`` mode that scales in
-  mid-load and reports the ``killed_at -> recovered_at`` degradation
-  window.
+- :mod:`repro.loadgen.runner` -- :class:`~repro.loadgen.runner.LiveScenario`,
+  the one live scenario runner (harness + optional tape + timed events)
+  with the one :func:`~repro.loadgen.runner.degradation_window`, and
+  the steady-state and scale-in-under-load runs over it.
 """
 
 from __future__ import annotations

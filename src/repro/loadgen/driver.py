@@ -25,8 +25,8 @@ Membership is swappable mid-run (:meth:`LoadGenerator.set_membership`,
 safe to call from another thread): the Master's post-switch membership
 callback rebuilds the routing ring, which is how a scale-in under load
 redirects traffic the moment the switch commits.  Errors are kept on a
-timestamped timeline so the migration runner can compute the
-``killed_at -> recovered_at`` degradation window.
+timestamped timeline, the input of
+:func:`~repro.loadgen.runner.degradation_window`.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ class LoadGenerator:
         self._clients: dict[str, NodeClient] = {}
         self._anchor = 0.0
         self.started = threading.Event()
+        self._stopping = threading.Event()
         # Outcome counters (loop-thread writes only).
         self.ops_total = len(schedule)
         self.ops_sent = 0
@@ -145,6 +146,10 @@ class LoadGenerator:
             raise ConfigurationError(f"unknown members: {unknown}")
         self._ring = ConsistentHashRing(names, vnodes=self.vnodes)
 
+    def stop(self) -> None:
+        """Send nothing more (thread-safe); in-flight batches resolve."""
+        self._stopping.set()
+
     @property
     def members(self) -> frozenset[str]:
         """Current routing membership."""
@@ -185,6 +190,8 @@ class LoadGenerator:
                 delay = deadline - self.now()
                 if delay > 0:
                     await asyncio.sleep(delay)
+                if self._stopping.is_set():
+                    break
                 if self.key_observer is not None:
                     self.key_observer([op.key for op in ops])
                 ring = self._ring  # one consistent ring per wave
@@ -265,16 +272,11 @@ class LoadGenerator:
                     self._second_ok.get(second, 0) + 1
                 )
             self.ops_ok += len(ops)
-        except TransportError:
-            self.transport_errors += len(ops)
-            failed_at = self.now()
-            self.error_timeline.append((failed_at, node))
-            second = int(failed_at)
-            self._second_errors[second] = (
-                self._second_errors.get(second, 0) + len(ops)
-            )
-        except WireProtocolError:
-            self.wire_errors += len(ops)
+        except (TransportError, WireProtocolError) as exc:
+            if isinstance(exc, TransportError):
+                self.transport_errors += len(ops)
+            else:
+                self.wire_errors += len(ops)
             failed_at = self.now()
             self.error_timeline.append((failed_at, node))
             second = int(failed_at)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.core.master import Master, MigrationReport
@@ -28,10 +28,8 @@ from repro.faults.sockets import SocketFaultPolicy
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.node import MigratedItem
 from repro.memcached.slab import PAGE_SIZE
-from repro.net.cluster import LiveCluster
 from repro.net.server import LiveClusterHarness
 from repro.obs import Telemetry
-from repro.obs.livetrace import TraceContext, write_live_jsonl
 
 ContentSignature = list[tuple[str, int, bytes, float]]
 """Sorted ``(key, flags, payload, last_access)`` rows of one node."""
@@ -55,9 +53,9 @@ class LiveMigrationResult:
     # retained node's contents matched the in-process twin exactly.
     verified: bool | None = None
     mismatched_nodes: list[str] = field(default_factory=list)
-    # Wall time the cluster spent inside the three-phase execute -- the
-    # window during which routing/membership is in flux.
-    degradation_window_s: float | None = None
+    # The execute event's degradation window: routing/membership is in
+    # flux while the three-phase migration runs.
+    degradation: dict[str, Any] = field(default_factory=dict)
     trace_spans: int = 0
 
     @property
@@ -67,26 +65,7 @@ class LiveMigrationResult:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly summary (CLI / CI artifact)."""
-        return {
-            "node_names": self.node_names,
-            "retired": self.retired,
-            "membership_after": self.membership_after,
-            "outcome": self.outcome,
-            "items_seeded": self.items_seeded,
-            "items_exported": self.items_exported,
-            "items_imported": self.items_imported,
-            "completed_pairs": self.completed_pairs,
-            "failed_flows": self.failed_flows,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "verified": self.verified,
-            "mismatched_nodes": self.mismatched_nodes,
-            "degradation_window_s": (
-                round(self.degradation_window_s, 3)
-                if self.degradation_window_s is not None
-                else None
-            ),
-            "trace_spans": self.trace_spans,
-        }
+        return asdict(self)
 
 
 def seed_records(
@@ -178,11 +157,11 @@ def run_live_migration(
     raises :class:`~repro.errors.InvariantViolation` after the migration
     if either loop recorded a hazard.
 
-    With a live-tracing ``telemetry`` the whole migration becomes one
-    stitched trace -- a ``live_migration`` root with ``seed`` / ``plan``
-    / ``execute`` phase spans, each phase's wire operations (``ts_dump``
-    / ``mig_export`` / ``batch_import`` round trips and the servers'
-    execute spans) joined through the ``trace`` wire frame.
+    The run is a :class:`~repro.loadgen.runner.LiveScenario` with no
+    tape and the events ``seed``, ``plan``, ``execute`` (and
+    ``verify``).  With a live-tracing ``telemetry`` it becomes one
+    stitched ``live_migration`` trace with a phase span per event, each
+    phase's wire operations joined through the ``trace`` wire frame;
     ``trace_jsonl`` exports this process's spans for ``repro obs``.
 
     ``process_cluster`` boots every node in its own OS process
@@ -194,6 +173,8 @@ def run_live_migration(
     the loop sanitizer instrument in-process servers, so neither
     composes with ``process_cluster``.
     """
+    from repro.loadgen.runner import Event, LiveScenario, degradation_window
+
     if nodes < 2:
         raise ConfigurationError("a live migration needs at least 2 nodes")
     if not 0 < retire < nodes:
@@ -208,8 +189,6 @@ def run_live_migration(
         fault_policy = SocketFaultPolicy(
             fault_schedule, base_delay_s=fault_base_delay_s
         )
-    tracer: Any = getattr(telemetry, "live", None)
-    tracing = bool(getattr(tracer, "enabled", False))
     harness: Any
     if process_cluster:
         if fault_policy is not None or sanitize:
@@ -230,115 +209,75 @@ def run_live_migration(
             metrics=telemetry.metrics if telemetry is not None else None,
             sanitize=sanitize,
         )
+    groups: dict[str, list[MigratedItem]] = {}
+
+    def seed_cluster(scenario: LiveScenario) -> int:
+        owners = scenario.live.route_many([record.key for record in records])
+        for record, owner in zip(records, owners):
+            groups.setdefault(owner, []).append(record)
+        return _seed_cluster(groups, scenario.live.nodes)
+
+    seeded = Event("seed", seed_cluster)
+    plan = Event(
+        "plan",
+        lambda s: s.master.plan_scale_in(s.master.choose_retiring(retire)),
+    )
+    execute = Event("execute", lambda s: s.master.execute(plan.result))
+    twin = Event(
+        "verify",
+        lambda s: _twin_mismatches(
+            s.live,
+            groups,
+            plan.result.retiring,
+            execute.result,
+            names,
+            memory_per_node,
+        ),
+    )
     started = time.monotonic()
-    root = (
-        tracer.start_trace("live_migration", nodes=nodes, retire=retire)
-        if tracing
-        else None
+    scenario = LiveScenario(
+        harness,
+        [seeded, plan, execute, *([twin] if verify else [])],
+        name="live_migration",
+        telemetry=telemetry,
+        trace_jsonl=trace_jsonl,
+        cluster_options={
+            "timeout_s": timeout_s,
+            "backoff_scale": backoff_scale,
+            "sanitize": sanitize,
+        },
+    ).run()
+    report: MigrationReport = execute.result
+    return LiveMigrationResult(
+        node_names=names,
+        retired=list(plan.result.retiring),
+        membership_after=report.membership_after,
+        outcome=report.outcome,
+        items_seeded=seeded.result,
+        items_exported=report.items_exported,
+        items_imported=report.items_imported,
+        completed_pairs=report.completed_pairs,
+        failed_flows=len(report.failed_flows),
+        wall_seconds=round(time.monotonic() - started, 3),
+        verified=None if not verify else not twin.result,
+        mismatched_nodes=twin.result or [],
+        degradation=degradation_window(
+            execute.started_s, execute.settled_s, ()
+        ),
+        trace_spans=scenario.trace_spans,
     )
 
-    def _phase(name: str) -> Any:
-        if root is None:
-            return None
-        return tracer.start_span(name, root.context)
 
-    with harness:
-        live = LiveCluster(
-            harness.endpoints,
-            timeout_s=timeout_s,
-            backoff_scale=backoff_scale,
-            telemetry=telemetry,
-            sanitize=sanitize,
-        )
-
-        def _join_clients(ctx: TraceContext | None) -> None:
-            # Master runs on this thread while client I/O lives on the
-            # cluster's loop thread; contextvars do not cross that
-            # boundary, so phases join the trace via the clients'
-            # explicit override attribute.
-            for remote in live.nodes.values():
-                remote.client.trace_context = ctx
-
-        def _run_phase(name: str, work: Any) -> Any:
-            span = _phase(name)
-            if span is not None:
-                _join_clients(span.context)
-            try:
-                return work()
-            finally:
-                if span is not None:
-                    _join_clients(None)
-                    span.end()
-
-        try:
-            owners = live.route_many([record.key for record in records])
-            groups: dict[str, list[MigratedItem]] = {}
-            for record, owner in zip(records, owners):
-                groups.setdefault(owner, []).append(record)
-            seeded = _run_phase(
-                "seed", lambda: _seed_cluster(groups, live.nodes)
-            )
-
-            master = Master(live, telemetry=telemetry)
-            retiring = master.choose_retiring(retire)
-            plan = _run_phase(
-                "plan", lambda: master.plan_scale_in(retiring)
-            )
-            execute_started = time.monotonic()
-            report = _run_phase("execute", lambda: master.execute(plan))
-            degradation_window_s = time.monotonic() - execute_started
-
-            result = LiveMigrationResult(
-                node_names=names,
-                retired=list(plan.retiring),
-                membership_after=report.membership_after,
-                outcome=report.outcome,
-                items_seeded=seeded,
-                items_exported=report.items_exported,
-                items_imported=report.items_imported,
-                completed_pairs=report.completed_pairs,
-                failed_flows=len(report.failed_flows),
-                wall_seconds=time.monotonic() - started,
-                degradation_window_s=degradation_window_s,
-            )
-            if verify:
-                _verify_against_twin(
-                    result, live, groups, retiring, memory_per_node
-                )
-        finally:
-            live.close()
-    harness_sanitizer = getattr(harness, "sanitizer", None)
-    if harness_sanitizer is not None:
-        harness_sanitizer.check("live-harness loop")
-    if live.sanitizer is not None:
-        live.sanitizer.check("live-cluster loop")
-    if root is not None:
-        root.set_attribute("outcome", result.outcome)
-        root.set_attribute(
-            "window_s", round(result.degradation_window_s or 0.0, 6)
-        )
-        root.end()
-    if tracing:
-        result.trace_spans = len(tracer.spans)
-        if trace_jsonl is not None:
-            write_live_jsonl(
-                trace_jsonl,
-                tracer,
-                metrics=telemetry.metrics if telemetry is not None else None,
-            )
-    result.wall_seconds = time.monotonic() - started
-    return result
-
-
-def _verify_against_twin(
-    result: LiveMigrationResult,
-    live: LiveCluster,
+def _twin_mismatches(
+    live: Any,
     groups: dict[str, list[MigratedItem]],
     retiring: list[str],
+    report: MigrationReport,
+    node_names: list[str],
     memory_per_node: int,
-) -> None:
-    """Replay the migration in-process and compare final contents."""
-    twin = MemcachedCluster(result.node_names, memory_per_node)
+) -> list[str]:
+    """Replay the migration in-process; names whose contents differ."""
+    twin = MemcachedCluster(node_names, memory_per_node)
     _seed_cluster(groups, twin.nodes)
     twin_master = Master(twin)
     twin_report: MigrationReport = twin_master.execute(
@@ -354,9 +293,8 @@ def _verify_against_twin(
         live_node.refresh()
         if node_signature(live_node) != node_signature(twin_node):
             mismatched.append(name)
-    if sorted(result.membership_after) != sorted(
+    if sorted(report.membership_after) != sorted(
         twin_report.membership_after
     ):
         mismatched.append("<membership>")
-    result.mismatched_nodes = mismatched
-    result.verified = not mismatched
+    return mismatched

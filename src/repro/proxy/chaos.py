@@ -6,15 +6,16 @@ story the CI smoke job and the live tests replay:
 1. boot a proxy over N live backends (one backend mildly stalled by a
    seeded :class:`~repro.faults.sockets.SocketFaultPolicy`, so the
    socket fault path is exercised the whole run);
-2. warm the cache and drive healthy traffic through a real
-   :class:`~repro.net.client.NodeClient` pointed at the proxy;
-3. kill one backend's listener mid-traffic and keep driving -- every
-   client operation must still complete without a single
-   :class:`~repro.errors.TransportError` (dead-backend keys degrade to
-   misses / ``NOT_STORED``), and the victim's circuit breaker must be
-   observed open via :mod:`repro.obs` metrics;
-4. restart the backend and keep driving until the breaker re-closes and
-   a victim-owned key is served again (warm recovery -- the listener
+2. warm the cache and replay an open-loop tape through the proxy
+   endpoint at :data:`CHAOS_RATE` (a
+   :class:`~repro.loadgen.runner.LiveScenario`);
+3. kill one backend's listener at the deadline of tape op
+   ``healthy_ops`` -- every client operation must still complete
+   without a single :class:`~repro.errors.TransportError` (dead-backend
+   keys degrade to misses / ``NOT_STORED``), and the victim's circuit
+   breaker must be observed open via :mod:`repro.obs` metrics;
+4. restart the backend and probe victim-owned keys until the breaker
+   re-closes and one is served again (warm recovery -- the listener
    died, the cache did not).
 
 The outcome is a :class:`ProxyChaosResult` whose :meth:`to_dict` is the
@@ -24,22 +25,26 @@ JSON artifact CI uploads.  Everything that varies is derived from the
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransportError
 from repro.faults.sockets import SocketFaultPolicy
 from repro.faults.spec import FaultSchedule, FaultSpec
-from repro.net.client import NodeClient
-from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
 from repro.proxy.breaker import CLOSED, OPEN
 from repro.proxy.router import ProxyConfig
 from repro.proxy.server import ProxyHarness
 
-PAYLOAD = b"x" * 64
-"""Fixed chaos payload; value content is irrelevant to the story."""
+if TYPE_CHECKING:
+    from repro.loadgen.runner import LiveScenario
+
+CHAOS_RATE = 400.0
+"""Offered ops/s of the chaos tape (healthy then dead phase)."""
+
+VALUE_BYTES = 64
+"""Chaos payload size; value content is irrelevant to the story."""
 
 SCRAPE_EXPECTED_METRICS = (
     "proxy_breaker_state",
@@ -48,15 +53,6 @@ SCRAPE_EXPECTED_METRICS = (
     "net_client_roundtrip_seconds",
 )
 """Metric families the mid-chaos ``stats obs`` scrape must contain."""
-
-
-def _quantile_ms(latencies: list[float], q: float) -> float | None:
-    """Exact quantile of measured client latencies, in milliseconds."""
-    if not latencies:
-        return None
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return round(ordered[index] * 1000.0, 3)
 
 
 def _scrape_obs(host: str, port: int) -> dict:
@@ -99,10 +95,6 @@ class ProxyChaosResult:
     seed: int
     requests_total: int = 0
     client_transport_errors: int = 0
-    hits: int = 0
-    misses: int = 0
-    stored: int = 0
-    rejected_sets: int = 0
     breaker_opened: bool = False
     breaker_recovered: bool = False
     victim_served_after_restart: bool = False
@@ -110,6 +102,7 @@ class ProxyChaosResult:
     proxy_stats: dict[str, int] = field(default_factory=dict)
     degradation: dict = field(default_factory=dict)
     obs_scrape: dict = field(default_factory=dict)
+    load: dict = field(default_factory=dict)
     trace_spans: int = 0
     elapsed_s: float = 0.0
 
@@ -131,28 +124,15 @@ class ProxyChaosResult:
 
     def to_dict(self) -> dict:
         """Flat JSON-friendly report (the CI artifact)."""
-        return {
-            "ok": self.ok,
-            "nodes": list(self.nodes),
-            "victim": self.victim,
-            "stalled": self.stalled,
-            "seed": self.seed,
-            "requests_total": self.requests_total,
-            "client_transport_errors": self.client_transport_errors,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stored": self.stored,
-            "rejected_sets": self.rejected_sets,
-            "breaker_opened": self.breaker_opened,
-            "breaker_recovered": self.breaker_recovered,
-            "victim_served_after_restart": self.victim_served_after_restart,
-            "transitions": dict(self.transitions),
-            "proxy_stats": dict(self.proxy_stats),
-            "degradation": dict(self.degradation),
-            "obs_scrape": dict(self.obs_scrape),
-            "trace_spans": self.trace_spans,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        return {"ok": self.ok, **asdict(self)}
+
+
+class _ChaosHarness(ProxyHarness):
+    """A proxy harness whose one scenario endpoint is the proxy."""
+
+    @property
+    def endpoints(self) -> dict[str, tuple[str, int]]:
+        return {"proxy": self.proxy_endpoint}
 
 
 def run_proxy_chaos(
@@ -171,17 +151,20 @@ def run_proxy_chaos(
     Raises nothing on a failed contract -- inspect ``result.ok`` (the
     CLI and tests do), so a red run still yields a full artifact.
 
-    Beyond the breaker contract this also measures the *degradation
-    window* -- the wall time between killing the victim and recovery
-    (breaker closed + a victim-owned hit) -- along with per-phase
-    client p99 and hit rates, scrapes ``stats obs`` mid-chaos to assert
-    the live metrics surface is up, and (with ``trace_jsonl``) exports
-    the run's sampled cross-process spans.
+    Beyond the breaker contract this also measures the degradation
+    window from the kill to recovery (breaker closed + a victim-owned
+    hit), scrapes ``stats obs`` at the end of the tape to assert the
+    live metrics surface is up, and (with ``trace_jsonl``) exports the
+    run's sampled cross-process spans.
     """
+    # Imported here: the load generator's workload model pulls in
+    # scipy, which plain proxy users should not pay for.
+    from repro.loadgen.runner import Event, LiveScenario, degradation_window
+    from repro.loadgen.schedule import build_schedule
+
     names = [f"node-{i:03d}" for i in range(nodes)]
     victim = names[-1]
     stalled = names[0]
-    rng = random.Random(seed)
     # One mild permanent stall on a non-victim backend: every chunk it
     # receives is delayed ~5ms, far below the client timeout, so the
     # fault path runs continuously without ever breaking the contract.
@@ -200,78 +183,38 @@ def run_proxy_chaos(
     result = ProxyChaosResult(
         nodes=names, victim=victim, stalled=stalled, seed=seed
     )
-    started = time.monotonic()
     telemetry = create_telemetry(
         "proxy-chaos",
         live_trace=True,
         trace_sample=trace_sample,
         trace_seed=seed,
     )
-    harness = ProxyHarness(
+    harness = _ChaosHarness(
         names,
         memory_per_node,
         config=config,
         fault_policy=policy,
         telemetry=telemetry,
     )
-    client_loop = EventLoopThread(name="proxy-chaos-client")
-    client: NodeClient | None = None
-    phase_latencies: dict[str, list[float]] = {}
-    phase_hits: dict[str, list[int]] = {}
-    killed_at: float | None = None
-    recovered_at: float | None = None
-    try:
-        harness.start()
-        client_loop.start()
-        host, port = harness.proxy_endpoint
-        client = NodeClient("proxy", host, port, pool_size=4, timeout_s=5.0)
-        keyspace = [f"chaos:{i:04d}" for i in range(keys)]
+    duration_s = (healthy_ops + dead_ops) / CHAOS_RATE
+    schedule = build_schedule(
+        CHAOS_RATE,
+        duration_s,
+        seed=seed,
+        num_keys=keys,
+        set_fraction=0.25,
+        value_bytes=VALUE_BYTES,
+    )
+    keyspace = sorted({op.key for op in schedule})
+    metrics = telemetry.metrics
+    probe_errors: list[tuple[float, str]] = []
+    probes: list[bool] = []  # one hit/miss flag per victim-key probe
 
-        def call(coro):
-            return client_loop.call(coro, timeout=30.0)
+    def breaker_gauge() -> float:
+        return metrics.gauge("proxy_breaker_state", backend=victim).value
 
-        def drive(ops: int, phase: str) -> None:
-            latencies = phase_latencies.setdefault(phase, [])
-            hits = phase_hits.setdefault(phase, [])
-            for _ in range(ops):
-                key = rng.choice(keyspace)
-                result.requests_total += 1
-                try:
-                    if rng.random() < 0.25:
-                        stored = call(client.set(key, PAYLOAD))
-                        if stored:
-                            result.stored += 1
-                        else:
-                            result.rejected_sets += 1
-                    else:
-                        op_start = time.perf_counter()
-                        value = call(client.get(key))
-                        latencies.append(time.perf_counter() - op_start)
-                        if value is None:
-                            result.misses += 1
-                            hits.append(0)
-                        else:
-                            result.hits += 1
-                            hits.append(1)
-                except TransportError:
-                    result.client_transport_errors += 1
-
-        # Phase 1: warm + healthy traffic.
-        for key in keyspace:
-            result.requests_total += 1
-            if call(client.set(key, PAYLOAD)):
-                result.stored += 1
-        drive(healthy_ops, "healthy")
-
-        # Phase 2: kill the victim mid-traffic; clients must stay clean.
-        harness.kill_backend(victim)
-        killed_at = time.monotonic()
-        drive(dead_ops, "dead")
-        result.obs_scrape = _scrape_obs(host, port)
-        router = harness.router
-        assert router is not None
-        metrics = router.telemetry.metrics
-        gauge = metrics.gauge("proxy_breaker_state", backend=victim)
+    def observe(scenario: LiveScenario) -> None:
+        result.obs_scrape = _scrape_obs(*harness.proxy_endpoint)
         opens = metrics.counter(
             "proxy_breaker_transitions_total", backend=victim, to=OPEN
         )
@@ -279,47 +222,34 @@ def run_proxy_chaos(
         # still-dead listener) at observation time; "opened" means it
         # tripped at least once and has not settled closed.
         result.breaker_opened = (
-            router.breakers[victim].state != CLOSED
-            and gauge.value >= 1.0
+            harness.breaker_state(victim) != CLOSED
+            and breaker_gauge() >= 1.0
             and opens.value >= 1
         )
 
-        # Phase 3: restart and drive victim-owned keys until the breaker
-        # re-closes and the victim serves a hit again (warm recovery).
+    def restart(scenario: LiveScenario) -> list[str]:
         harness.restart_backend(victim)
-        victim_keys = [
+        router: Any = harness.router
+        return [
             key for key in keyspace if router.primary_for(key) == victim
         ] or keyspace
-        deadline = time.monotonic() + recovery_timeout_s
-        recovery_latencies = phase_latencies.setdefault("recovery", [])
-        recovery_hits = phase_hits.setdefault("recovery", [])
-        while time.monotonic() < deadline:
-            key = victim_keys[result.requests_total % len(victim_keys)]
-            result.requests_total += 1
-            try:
-                op_start = time.perf_counter()
-                value = call(client.get(key))
-                recovery_latencies.append(time.perf_counter() - op_start)
-            except TransportError:
-                result.client_transport_errors += 1
-                value = None
-            if value is not None:
-                result.hits += 1
-                recovery_hits.append(1)
-                result.victim_served_after_restart = True
-            else:
-                result.misses += 1
-                recovery_hits.append(0)
-            if (
-                result.victim_served_after_restart
-                and router.breakers[victim].state == CLOSED
-                and gauge.value == 0.0
-            ):
-                result.breaker_recovered = True
-                recovered_at = time.monotonic()
-                break
-            time.sleep(0.05)
 
+    def recovered(scenario: LiveScenario) -> bool:
+        victim_keys = restart_event.result
+        key = victim_keys[len(probes) % len(victim_keys)]
+        try:
+            probes.append(scenario.live.get(key) is not None)
+        except TransportError:
+            probe_errors.append((scenario.now(), victim))
+            probes.append(False)
+        result.victim_served_after_restart = any(probes)
+        return (
+            result.victim_served_after_restart
+            and harness.breaker_state(victim) == CLOSED
+            and breaker_gauge() == 0.0
+        )
+
+    def tally(scenario: LiveScenario) -> None:
         result.transitions = {
             state: int(
                 metrics.counter(
@@ -330,53 +260,46 @@ def run_proxy_chaos(
             )
             for state in ("open", "half_open", "closed")
         }
+        router: Any = harness.router
         result.proxy_stats = router.stats_snapshot()
-    finally:
-        if client is not None:
-            try:
-                client_loop.call(client.close(), timeout=5.0)
-            except Exception:
-                pass
-        client_loop.stop()
-        harness.stop()
-    result.elapsed_s = time.monotonic() - started
 
-    # The degradation window: wall time between killing the victim's
-    # listener and full recovery (breaker closed + victim-owned hit).
-    phases = {
-        phase: {
-            "ops": len(latencies),
-            "p50_ms": _quantile_ms(latencies, 0.50),
-            "p99_ms": _quantile_ms(latencies, 0.99),
-            "hit_rate": (
-                round(sum(phase_hits[phase]) / len(phase_hits[phase]), 4)
-                if phase_hits.get(phase)
-                else None
-            ),
-        }
-        for phase, latencies in phase_latencies.items()
-    }
-    result.degradation = {
-        "killed_at_s": (
-            round(killed_at - started, 3) if killed_at is not None else None
-        ),
-        "recovered_at_s": (
-            round(recovered_at - started, 3)
-            if recovered_at is not None
-            else None
-        ),
-        "window_s": (
-            round(recovered_at - killed_at, 3)
-            if killed_at is not None and recovered_at is not None
-            else None
-        ),
-        "phases": phases,
-    }
-    result.trace_spans = len(getattr(telemetry.live, "spans", ()))
-    if trace_jsonl is not None:
-        from repro.obs.livetrace import write_live_jsonl
-
-        write_live_jsonl(
-            trace_jsonl, telemetry.live, metrics=telemetry.metrics
-        )
+    kill_event = Event(
+        "kill",
+        lambda scenario: harness.kill_backend(victim),
+        at_s=schedule[min(healthy_ops, len(schedule) - 1)].send_at_s,
+    )
+    restart_event = Event(
+        "restart", restart, until=recovered, timeout_s=recovery_timeout_s
+    )
+    started = time.monotonic()
+    scenario = LiveScenario(
+        harness,
+        [
+            kill_event,
+            Event("observe", observe, at_s=schedule[-1].send_at_s),
+            restart_event,
+            Event("tally", tally),
+        ],
+        schedule,
+        name="proxy_chaos",
+        seed_value_bytes=VALUE_BYTES,
+        telemetry=telemetry,
+        trace_jsonl=trace_jsonl,
+    ).run()
+    result.elapsed_s = round(time.monotonic() - started, 3)
+    generator = scenario.generator
+    assert generator is not None
+    load = generator.report("chaos", CHAOS_RATE, duration_s, seed)
+    result.load = load.to_dict()
+    result.requests_total = len(keyspace) + load.ops_sent + len(probes)
+    result.client_transport_errors = (
+        load.transport_errors + load.wire_errors + len(probe_errors)
+    )
+    result.breaker_recovered = restart_event.settled_s is not None
+    result.degradation = degradation_window(
+        kill_event.started_s,
+        restart_event.settled_s,
+        [*generator.error_timeline, *probe_errors],
+    )
+    result.trace_spans = scenario.trace_spans
     return result
