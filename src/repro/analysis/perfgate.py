@@ -516,9 +516,7 @@ def bench_live_proxy(quick: bool) -> dict[str, float]:
             loop.call(client.close(), timeout=5.0)
 
     traced = _live_proxy_p99_s(
-        create_telemetry(
-            "bench-proxy", live_trace=True, trace_sample=0.01, trace_seed=17
-        ),
+        create_telemetry("bench-proxy", trace_sample=0.01, trace_seed=17),
         blocks * block_ops,
     )
     return {

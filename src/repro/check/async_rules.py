@@ -34,8 +34,7 @@ REP106    no-contextvar-across-bridge  ambient contextvar reads in async-tier
 Every rule is a pure AST check -- no imports of the checked code -- so the
 pack runs on fixtures, tests, and the live tree alike.  Deliberate
 exceptions carry ``repro: allow[REP1xx]`` markers exactly like the REP0xx
-rules (e.g. the documented ``trace_context`` override fallback in
-``net/client.py``).
+rules (e.g. the ambient trace-context read in ``net/client.py``).
 """
 
 from __future__ import annotations
@@ -466,9 +465,8 @@ class NoContextvarAcrossBridgeRule(LintRule):
     synchronous caller in this repo uses to reach the live tier.  A
     coroutine in ``repro.net``/``repro.proxy`` that reads an ambient
     contextvar therefore silently sees the default when driven through
-    the bridge.  Provide an explicit override attribute (the
-    ``NodeClient.trace_context`` pattern) and mark the deliberate
-    ambient fallback with ``repro: allow[REP106]``.
+    the bridge.  Provide an explicit override attribute, or mark a
+    deliberate ambient read with ``repro: allow[REP106]``.
     """
 
     code = "REP106"
@@ -510,7 +508,7 @@ class NoContextvarAcrossBridgeRule(LintRule):
                         f"`async def {func.name}`: contextvars do not "
                         "cross run_coroutine_threadsafe, so bridged "
                         "callers read the default; accept an explicit "
-                        "override (see `NodeClient.trace_context`)",
+                        "override",
                     )
 
 

@@ -117,28 +117,54 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.livetrace import read_live_spans
+    from repro.errors import ConfigurationError
     from repro.obs.export import read_jsonl
     from repro.obs.timeline import render_timeline, summary_table
 
-    live_spans = read_live_spans(args.jsonl)
-    if live_spans:
-        return _obs_stitch(args, live_spans)
-    if len(args.jsonl) != 1:
-        print("multiple files given but none contain live spans")
+    try:
+        dump = read_jsonl(*args.jsonl)
+    except (ConfigurationError, OSError) as exc:
+        print(f"repro obs: {exc}", file=sys.stderr)
         return 1
-    dump = read_jsonl(args.jsonl[0])
-    meta = {k: v for k, v in dump.meta.items() if k != "version"}
-    if meta:
-        print("run: " + ", ".join(f"{k}={v}" for k, v in meta.items()))
+    for meta in dump.meta:
+        shown = {k: v for k, v in meta.items() if k != "version"}
+        if shown:
+            print("run: " + ", ".join(f"{k}={v}" for k, v in shown.items()))
     if not dump.spans:
         print("(no span trees recorded)")
-    for span in dump.spans:
+
+    def clock_for(roots: list) -> str:
+        sim = any(root.start_sim_s is not None for root in roots)
+        return args.clock or ("sim" if sim else "wall")
+
+    if args.limit is None:
+        # Every simulator migration, but only the first five wire traces.
+        wire = [root for root in dump.spans if root.start_sim_s is None]
+        hidden = {id(root) for root in wire[5:]}
+        shown_trees = [root for root in dump.spans if id(root) not in hidden]
+    else:
+        shown_trees = dump.spans if args.limit <= 0 else dump.spans[: args.limit]
+    for root in shown_trees:
+        spans = list(root.walk())
+        processes = dict.fromkeys(s.process for s in spans if s.process)
+        wall_s = max(s.end_wall_s or s.start_wall_s for s in spans) - min(
+            s.start_wall_s for s in spans
+        )
         print()
-        print(render_timeline(span, width=args.width, clock=args.clock))
+        print(
+            f"trace {root.trace_id}  processes: {', '.join(processes)}  "
+            f"spans: {len(spans)}  wall: {wall_s * 1000:.2f}ms"
+        )
+        print(render_timeline(root, width=args.width, clock=clock_for([root])))
+    if len(shown_trees) < len(dump.spans):
+        print()
+        print(
+            f"... {len(dump.spans) - len(shown_trees)} more trace(s); "
+            "raise --limit to render them"
+        )
     if dump.spans:
         print()
-        print(summary_table(dump.spans, clock=args.clock))
+        print(summary_table(dump.spans, clock=clock_for(dump.spans)))
     if dump.events:
         print()
         print(f"run-level events ({len(dump.events)}):")
@@ -176,39 +202,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     f"  {sample['name']}{label_text} "
                     f"{sample.get('value', 0):g}"
                 )
-    return 0
-
-
-def _obs_stitch(args: argparse.Namespace, live_spans: list) -> int:
-    """Merge live-trace JSONL files and render stitched span trees."""
-    from repro.obs.livetrace import stitch_spans, trace_to_span_tree
-    from repro.obs.timeline import render_timeline
-
-    traces = stitch_spans(live_spans)
-    print(
-        f"stitched {len(live_spans)} live span(s) from "
-        f"{len(args.jsonl)} file(s) into {len(traces)} trace(s)"
-    )
-    shown = traces if args.limit <= 0 else traces[: args.limit]
-    for trace in shown:
-        print()
-        print(
-            f"trace {trace.trace_id}  "
-            f"processes: {', '.join(trace.processes)}  "
-            f"spans: {len(trace.spans)}  "
-            f"wall: {(trace.end_s - trace.start_s) * 1000:.2f}ms"
-        )
-        print(
-            render_timeline(
-                trace_to_span_tree(trace), width=args.width, clock="wall"
-            )
-        )
-    if len(shown) < len(traces):
-        print()
-        print(
-            f"... {len(traces) - len(shown)} more trace(s); "
-            "raise --limit to render them"
-        )
     return 0
 
 
@@ -515,21 +508,18 @@ def _live_telemetry(args: argparse.Namespace, process: str):
     from repro.obs import create_telemetry
 
     return create_telemetry(
-        process,
-        live_trace=True,
-        trace_sample=args.trace_sample,
-        trace_seed=args.trace_seed,
+        process, trace_sample=args.trace_sample, trace_seed=args.trace_seed
     )
 
 
-def _export_live_jsonl(telemetry, path: str | None) -> None:
+def _export_obs_jsonl(telemetry, path: str | None) -> None:
     if telemetry is None or path is None:
         return
-    from repro.obs.livetrace import write_live_jsonl
+    from repro.obs.export import write_jsonl
 
-    count = write_live_jsonl(
-        path, telemetry.live, metrics=telemetry.metrics
-    )
+    tracer = telemetry.tracer
+    write_jsonl(path, tracer=tracer, metrics=telemetry.metrics)
+    count = sum(1 for root in tracer.roots for _ in root.walk())
     print(f"live spans -> {path} ({count} spans)", flush=True)
 
 
@@ -563,7 +553,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"received {signal_name}; draining...", flush=True)
     finally:
         harness.stop()
-    _export_live_jsonl(telemetry, args.obs_jsonl)
+    _export_obs_jsonl(telemetry, args.obs_jsonl)
     code = _report_sanitizer(harness.sanitizer)
     print("stopped.", flush=True)
     return code
@@ -626,7 +616,7 @@ def _cmd_proxy(args: argparse.Namespace) -> int:
             print(f"received {signal_name}; draining...", flush=True)
     finally:
         harness.stop()
-    _export_live_jsonl(telemetry, args.obs_jsonl)
+    _export_obs_jsonl(telemetry, args.obs_jsonl)
     code = _report_sanitizer(harness.sanitizer, harness.backends.sanitizer)
     print("stopped.", flush=True)
     return code
@@ -898,10 +888,7 @@ def _cmd_live_migrate(args: argparse.Namespace) -> int:
         from repro.obs import create_telemetry
 
         telemetry = create_telemetry(
-            "live-migrate",
-            live_trace=True,
-            trace_sample=1.0,
-            trace_seed=args.seed,
+            "live-migrate", trace_sample=1.0, trace_seed=args.seed
         )
     result = run_live_migration(
         nodes=args.nodes,
@@ -1122,21 +1109,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="render telemetry JSONL as ASCII timelines; multiple "
-        "live-trace files are stitched by trace id",
+        help="render telemetry JSONL as ASCII timelines; spans from "
+        "several files are stitched into one tree per trace id",
     )
     obs.add_argument(
         "jsonl",
         nargs="+",
-        help="file(s) written by run --trace-jsonl / --obs-jsonl",
+        help="file(s) written by --trace-jsonl / --obs-jsonl",
     )
     obs.add_argument("--width", type=int, default=60)
-    obs.add_argument("--clock", choices=["sim", "wall"], default="sim")
+    obs.add_argument(
+        "--clock",
+        choices=["sim", "wall"],
+        default=None,
+        help="timeline axis (default: sim when a tree's root has sim "
+        "times, wall otherwise)",
+    )
     obs.add_argument(
         "--limit",
         type=int,
-        default=5,
-        help="stitched traces to render (0 renders all)",
+        default=None,
+        help="traces to render (0 renders all; default: every "
+        "simulator tree and the first 5 wire traces)",
     )
     obs.set_defaults(func=_cmd_obs)
 

@@ -30,9 +30,11 @@ run without sockets.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.controlplane.admin import AdminServer
@@ -164,8 +166,13 @@ class ControlPlane:
         self._loop.start()
         self._loop.call(self._admin.start(), timeout=10.0)
         if auto_poll and self._thread is None:
+            run: Callable[[], None] = self._run
+            if self.telemetry.tracer.sampling:
+                # The control thread runs in a copy of the caller's
+                # context, so the Master's migrations join its trace.
+                run = partial(contextvars.copy_context().run, self._run)
             self._thread = threading.Thread(
-                target=self._run, name="controlplane-poll", daemon=True
+                target=run, name="controlplane-poll", daemon=True
             )
             self._thread.start()
         return self

@@ -231,18 +231,21 @@ def run_controlplane_scenario(
         timeout_s=duration_s,
         poll_s=poll_interval_s / 2.0,
     )
-    generator = LiveScenario(
+    scenario = LiveScenario(
         ProcessClusterHarness(node_names(nodes), memory_per_node),
         [control, admin, decision_event],
         schedule,
+        name="controlplane",
         seed_value_bytes=value_bytes,
         telemetry=telemetry,
+        trace_jsonl=trace_jsonl,
         cluster_options={"timeout_s": timeout_s},
         generator_options={
             "timeout_s": timeout_s,
             "key_observer": engine.observe_many,
         },
-    ).run().generator
+    ).run()
+    generator = scenario.generator
     assert generator is not None
 
     failures: list[str] = []
@@ -287,15 +290,6 @@ def run_controlplane_scenario(
         failures.append("no operation completed")
     if load.wire_errors:
         failures.append(f"{load.wire_errors} wire errors in the stream")
-    if trace_jsonl:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(
-            trace_jsonl,
-            tracer=telemetry.tracer,
-            metrics=telemetry.metrics,
-            meta={"scenario": "controlplane", "seed": seed},
-        )
     return ControlPlaneScenarioResult(
         nodes=nodes,
         retire=retire,
@@ -308,7 +302,7 @@ def run_controlplane_scenario(
         admin=admin.result,
         engine=engine.snapshot(),
         load=load.to_dict(),
-        trace_spans=len(telemetry.tracer.roots),
+        trace_spans=scenario.trace_spans,
         elapsed_s=round(time.perf_counter() - started_wall, 3),
         failures=failures,
     )

@@ -279,7 +279,8 @@ def fuse_cache_algorithm1(
     A round cap guards against the non-termination the printed rules
     allow (a correctly progressing run needs only O(log(n*k)) rounds, so
     the default cap of 512 is generous); leftover picks are completed
-    greedily.  Kept as a fidelity artifact and exercised by the test
+    hottest-first by :func:`fuse_cache` over the un-committed suffixes.
+    Kept as a fidelity artifact and exercised by the test
     suite; production code should use :func:`fuse_cache`.
     """
     if n < 0:
@@ -332,15 +333,15 @@ def fuse_cache_algorithm1(
                     )
             remaining -= count_x
 
-    # Greedy completion for any picks the printed rules left undecided.
+    # Complete any picks the printed rules left undecided hottest-first:
+    # the exact selection over the un-committed suffixes.
     remaining = n - sum(start)
-    for i in range(k):
-        if remaining <= 0:
-            break
-        take = min(len(lists[i]) - start[i], remaining)
-        start[i] += take
-        remaining -= take
-    return list(start)
+    if remaining > 0:
+        extra = fuse_cache(
+            [lst[s:] for lst, s in zip(lists, start)], remaining
+        )
+        start = [s + e for s, e in zip(start, extra)]
+    return start
 
 
 def sort_merge_top_n(lists: Sequence[Timestamps], n: int) -> list[int]:

@@ -45,7 +45,8 @@ from repro.loadgen.schedule import ScheduledOp, build_schedule, payload_for
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.cluster import LiveCluster
 from repro.net.procs import ProcessClusterHarness
-from repro.obs import Telemetry
+from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs.trace import CURRENT_CONTEXT
 from repro.workloads.traces import make_trace
 
 SEED_BATCH = 2000
@@ -131,9 +132,10 @@ class LiveScenario:
 
     ``seed_value_bytes`` (with a tape) stores every distinct tape key
     once before the tape starts, so its gets can hit.  ``telemetry`` is
-    shared by the cluster clients and the Master; when it carries a
-    live tracer the run is one trace -- a ``name`` root with one phase
-    span per event, the cluster's wire operations joined to it --
+    shared by the cluster clients and the Master; when it records, the
+    run is one trace -- a ``name`` root with one phase span per event,
+    the Master's migration trees and (when its tracer samples) the
+    cluster's wire operations joined to the phase that caused them --
     exported to ``trace_jsonl`` when given.  ``cluster_options`` and
     ``generator_options`` pass through to
     :class:`~repro.net.cluster.LiveCluster` and
@@ -187,8 +189,8 @@ class LiveScenario:
 
     def run(self) -> "LiveScenario":
         """Run every event against the harness; returns ``self``."""
-        tracer: Any = getattr(self.telemetry, "live", None)
-        tracing = bool(getattr(tracer, "enabled", False))
+        telemetry = self.telemetry or NULL_TELEMETRY
+        tracer: Any = telemetry.tracer
         with self.harness:
             self.live = LiveCluster(
                 self.harness.endpoints,
@@ -196,21 +198,19 @@ class LiveScenario:
                 **self.cluster_options,
             )
             self.master = Master(self.live, telemetry=self.telemetry)
-            root = None
+            root = tracer.root(self.name)
             try:
                 self._anchor = time.perf_counter()
-                root = tracer.start_trace(self.name) if tracing else None
                 if self.schedule is not None:
                     self._start_driver()
                 for event in self.events:
-                    self._fire(event, tracer, root)
+                    self._fire(event, root, tracer.sampling)
                 self._join_driver(stop=False)
             finally:
                 self._join_driver(stop=True)
                 while self._cleanups:
                     self._cleanups.pop()()
-                if root is not None:
-                    root.end()
+                root.end()
                 self.live.close()
         for label, sanitizer in (
             ("live-harness loop", getattr(self.harness, "sanitizer", None)),
@@ -218,29 +218,30 @@ class LiveScenario:
         ):
             if sanitizer is not None:
                 sanitizer.check(label)
-        if tracing:
-            self.trace_spans = len(tracer.spans)
-            if self.trace_jsonl is not None:
-                from repro.obs.livetrace import write_live_jsonl
+        self.trace_spans = sum(1 for top in tracer.roots for _ in top.walk())
+        if self.trace_jsonl is not None and tracer.enabled:
+            from repro.obs.export import write_jsonl
 
-                metrics = getattr(self.telemetry, "metrics", None)
-                write_live_jsonl(self.trace_jsonl, tracer, metrics=metrics)
+            write_jsonl(
+                self.trace_jsonl,
+                tracer=tracer,
+                metrics=telemetry.metrics,
+                meta={"scenario": self.name},
+            )
         return self
 
-    def _fire(self, event: Event, tracer: Any, root: Any) -> None:
+    def _fire(self, event: Event, root: Any, sampling: bool) -> None:
         if event.at_s is not None:
             delay = event.at_s - self.now()
             if delay > 0:
                 time.sleep(delay)
-        span = (
-            None
-            if root is None
-            else tracer.start_span(event.name, root.context)
-        )
-        # The Master runs on this thread while client I/O lives on the
-        # cluster's loop thread; contextvars do not cross that boundary,
-        # so the phase joins the trace via the clients' override.
-        self._trace_clients(None if span is None else span.context)
+        span = root.child(event.name)
+        # When the tracer samples, the Master's spans join the phase
+        # through the ambient context; so do the cluster's wire spans,
+        # because run_coroutine_threadsafe runs each client call in a
+        # copy of this thread's context.  When it does not, no wire span
+        # is recorded and the context would only add frames to the wire.
+        token = CURRENT_CONTEXT.set(span.context) if sampling else None
         event.started_s = self.now()
         try:
             if event.action is not None:
@@ -252,13 +253,9 @@ class LiveScenario:
                 time.sleep(event.poll_s)
             event.settled_s = self.now()
         finally:
-            if span is not None:
-                self._trace_clients(None)
-                span.end()
-
-    def _trace_clients(self, context: Any) -> None:
-        for remote in self.live.nodes.values():
-            remote.client.trace_context = context
+            if token is not None:
+                CURRENT_CONTEXT.reset(token)
+            span.end()
 
     def _start_driver(self) -> None:
         assert self.schedule is not None

@@ -46,7 +46,7 @@ from typing import Any, Callable
 
 from repro.memcached.node import MemcachedNode, MigratedItem
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.obs.livetrace import TraceContext, parse_trace_args
+from repro.obs.trace import TraceContext, parse_trace_args
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 
 CRLF = b"\r\n"
@@ -116,10 +116,10 @@ class TextProtocolServer:
     telemetry:
         Optional :class:`~repro.obs.Telemetry`.  When its metrics layer
         is enabled each dispatched command is timed into
-        ``net_server_execute_seconds``; when its live tracer is enabled
-        an incoming ``trace <trace_id> <span_id>`` framing line makes the
-        next command record a ``server.<command>`` span joined to the
-        caller's trace.
+        ``net_server_execute_seconds``; when its tracer samples wire
+        traces an incoming ``trace <trace_id> <span_id>`` framing line
+        makes the next command record a ``server.<command>`` span joined
+        to the caller's trace.
     """
 
     def __init__(
@@ -144,7 +144,7 @@ class TextProtocolServer:
         self._trace: TraceContext | None = None
         metrics = self.telemetry.metrics
         self._obs: bool = bool(getattr(metrics, "enabled", False))
-        self._live: Any = self.telemetry.live
+        self._tracer: Any = self.telemetry.tracer
         if self._obs:
             self._m_execute: Any = metrics.histogram(
                 "net_server_execute_seconds",
@@ -281,15 +281,15 @@ class TextProtocolServer:
             self.execute_seconds += elapsed
             if self._m_execute is not None:
                 self._m_execute.observe(elapsed)
-            if ctx is not None and self._live.enabled:
+            if ctx is not None and self._tracer.sampling:
                 wall_end = time.time()  # repro: allow[REP001]
-                span = self._live.start_span(
+                span = self._tracer.start_span(
                     f"server.{command}",
                     ctx,
                     start_s=wall_end - elapsed,
                     node=self.node.name,
                 )
-                span.end(wall_end)
+                span.end(wall_s=wall_end)
 
     def _run_store(
         self, parts: list[str], payload: bytes, ctx: TraceContext | None
@@ -305,15 +305,15 @@ class TextProtocolServer:
             self.execute_seconds += elapsed
             if self._m_execute is not None:
                 self._m_execute.observe(elapsed)
-            if ctx is not None and self._live.enabled:
+            if ctx is not None and self._tracer.sampling:
                 wall_end = time.time()  # repro: allow[REP001]
-                span = self._live.start_span(
+                span = self._tracer.start_span(
                     f"server.{parts[0].lower()}",
                     ctx,
                     start_s=wall_end - elapsed,
                     node=self.node.name,
                 )
-                span.end(wall_end)
+                span.end(wall_s=wall_end)
 
     def _begin_storage(
         self, parts: list[str], ctx: TraceContext | None = None

@@ -35,7 +35,7 @@ from repro.errors import TransportError, WireProtocolError
 from repro.memcached.node import MigratedItem
 from repro.net.runtime import RECV_CHUNK
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.obs.livetrace import TraceContext, current_context
+from repro.obs.trace import current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 
 CRLF = b"\r\n"
@@ -387,12 +387,7 @@ class NodeClient:
             buckets=LATENCY_SECONDS_BUCKETS,
             node=name,
         )
-        self._live = telemetry.live
-        # Explicit trace context override for callers that bridge event
-        # loops through threads (contextvars do not cross
-        # run_coroutine_threadsafe); when set it wins over the ambient
-        # CURRENT_CONTEXT.
-        self.trace_context: TraceContext | None = None
+        self._tracer = telemetry.tracer
 
     # ------------------------------------------------------------------
     # Connection pool and pipelined requests with timeout + retry
@@ -428,14 +423,15 @@ class NodeClient:
             return []
         self._m_requests.inc()
         self._m_depth.observe(len(requests))
-        # Deliberate: trace_context IS the explicit bridge override REP106
-        # asks for; the ambient read only serves same-loop callers.
-        ctx = self.trace_context or current_context()  # repro: allow[REP106]
+        # Deliberate: run_coroutine_threadsafe runs each bridged call in
+        # a copy of the submitting thread's context, so the ambient
+        # context reaches here from both sides of the bridge.
+        ctx = current_context()  # repro: allow[REP106]
         span = None
         wire = b"".join(request.wire for request in requests)
         if ctx is not None:
-            if self._live.enabled:
-                span = self._live.start_span(
+            if self._tracer.sampling:
+                span = self._tracer.start_span(
                     "client.rpc",
                     ctx,
                     node=self.name,
@@ -462,7 +458,7 @@ class NodeClient:
                     if failures >= self.retry.max_attempts:
                         self._m_errors.inc()
                         if span is not None:
-                            span.set_attribute("error", repr(exc))
+                            span.set(error=repr(exc))
                         raise TransportError(
                             f"node {self.name!r} at "
                             f"{self.host}:{self.port}: request failed after "
@@ -475,7 +471,7 @@ class NodeClient:
                     )
         finally:
             if span is not None:
-                span.set_attribute("retries", failures)
+                span.set(retries=failures)
                 span.end()
 
     # ------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Observability for the ElMem reproduction.
 
-The package bundles four layers:
+The package bundles three layers:
 
-- :mod:`repro.obs.trace` -- nested spans with wall- and sim-clock
-  durations, recording each migration as a tree;
-- :mod:`repro.obs.livetrace` -- sampled cross-process spans propagated
-  over the wire (``trace <trace_id> <span_id>`` framing) and stitched
-  back together by trace id;
+- :mod:`repro.obs.trace` -- one span model with wall- and sim-clock
+  times: each migration is a tree, and sampled wire spans carry their
+  trace id across processes (``trace <trace_id> <span_id>`` framing);
 - :mod:`repro.obs.metrics` -- named counters/gauges/histograms with a
   no-op disabled mode and bucket-interpolated quantiles;
 - :mod:`repro.obs.export` / :mod:`repro.obs.timeline` /
@@ -14,24 +12,16 @@ The package bundles four layers:
   span-timeline renderer (the ``repro obs`` CLI subcommand), and the
   ``stats obs`` fleet scraper behind ``repro top``.
 
-Components take a :class:`Telemetry` handle (tracer + registry + live
-tracer triple).  The default is :data:`NULL_TELEMETRY`, whose members
-absorb every call, so instrumentation costs almost nothing unless a run
-opts in via :func:`create_telemetry`.
+Components take a :class:`Telemetry` handle (tracer + registry pair).
+The default is :data:`NULL_TELEMETRY`, whose members absorb every call,
+so instrumentation costs almost nothing unless a run opts in via
+:func:`create_telemetry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.livetrace import (
-    CURRENT_CONTEXT,
-    LiveSpan,
-    LiveTracer,
-    NULL_LIVE_TRACER,
-    TraceContext,
-    current_context,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -43,28 +33,28 @@ from repro.obs.metrics import (
     bucket_quantile,
 )
 from repro.obs.trace import (
+    CURRENT_CONTEXT,
     NULL_SPAN,
     NULL_TRACER,
     Span,
     SpanEvent,
+    TraceContext,
     Tracer,
+    current_context,
 )
 
 
 @dataclass(frozen=True)
 class Telemetry:
-    """A tracer + metrics registry + live tracer threaded through the stack."""
+    """A tracer + metrics registry threaded through the stack."""
 
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
-    live: object = NULL_LIVE_TRACER
 
     @property
     def enabled(self) -> bool:
         """True when any layer actually records."""
-        return bool(
-            self.tracer.enabled or self.metrics.enabled or self.live.enabled
-        )
+        return bool(self.tracer.enabled or self.metrics.enabled)
 
 
 NULL_TELEMETRY = Telemetry()
@@ -74,20 +64,19 @@ NULL_TELEMETRY = Telemetry()
 def create_telemetry(
     process: str = "repro",
     *,
-    live_trace: bool = False,
-    trace_sample: float = 1.0,
+    trace_sample: float = 0.0,
     trace_seed: int = 0,
 ) -> Telemetry:
     """A fresh enabled tracer + registry for one run.
 
-    ``live_trace=True`` additionally attaches a :class:`LiveTracer` for
-    cross-process wire tracing, sampling at ``trace_sample`` with a
-    deterministic ``trace_seed``.
+    Wire tracing is on exactly when ``trace_sample > 0``: that fraction
+    of requests starts a cross-process trace, with ids and sampling
+    drawn from ``trace_seed`` and the ``process`` label.
     """
-    live: object = NULL_LIVE_TRACER
-    if live_trace:
-        live = LiveTracer(process, sample_rate=trace_sample, seed=trace_seed)
-    return Telemetry(tracer=Tracer(), metrics=MetricsRegistry(), live=live)
+    return Telemetry(
+        tracer=Tracer(process, sample_rate=trace_sample, seed=trace_seed),
+        metrics=MetricsRegistry(),
+    )
 
 
 __all__ = [
@@ -96,10 +85,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_SECONDS_BUCKETS",
-    "LiveSpan",
-    "LiveTracer",
     "MetricsRegistry",
-    "NULL_LIVE_TRACER",
     "NULL_METRIC",
     "NULL_METRICS",
     "NULL_SPAN",

@@ -40,17 +40,14 @@ def _event_time(event: SpanEvent, clock: str) -> float | None:
     return event.sim_s if clock == "sim" else event.wall_s
 
 
-def _label(span: Span, depth: int) -> str:
-    label = "  " * depth + span.name
-    for key in ("src", "dst"):
-        if key in span.attributes:
-            label = (
-                "  " * depth
-                + f"{span.name} {span.attributes.get('src', '?')}"
-                + f"->{span.attributes.get('dst', '?')}"
-            )
-            break
-    return label
+def _label(span: Span, depth: int, with_process: bool) -> str:
+    name = f"{span.process}:{span.name}" if with_process else span.name
+    if "src" in span.attributes or "dst" in span.attributes:
+        name += (
+            f" {span.attributes.get('src', '?')}"
+            f"->{span.attributes.get('dst', '?')}"
+        )
+    return "  " * depth + name
 
 
 def render_timeline(
@@ -60,7 +57,9 @@ def render_timeline(
 
     Each row shows the span's position within the root's window and its
     duration on the chosen clock (``"sim"`` or ``"wall"``); span events
-    are overlaid as ``·`` marks.
+    are overlaid as ``·`` marks.  Wall times are shown in milliseconds
+    from the tree's first start, and a tree recorded by several
+    processes labels each span ``process:name``.
     """
     if clock not in ("sim", "wall"):
         raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")
@@ -80,15 +79,21 @@ def render_timeline(
     t0 = min(w[0] for w in bounded)
     t1 = max(w[1] for w in bounded)
     span_total = (t1 - t0) or 1.0
-    label_width = max(len(_label(span, depth)) for depth, span in rows)
-    unit = "s" if clock == "sim" else "s wall"
+    with_process = len({span.process for _, span in rows if span.process}) > 1
+    labels = [_label(span, depth, with_process) for depth, span in rows]
+    label_width = max(len(label) for label in labels)
+    if clock == "sim":
+        unit, origin, scale = "s", 0.0, 1.0
+    else:
+        unit, origin, scale = "ms wall", t0, 1000.0
 
     lines = [
         f"{root.name} timeline ({clock} clock, "
-        f"{t0:.1f}{unit} .. {t1:.1f}{unit})"
+        f"{(t0 - origin) * scale:.1f}{unit} .. "
+        f"{(t1 - origin) * scale:.1f}{unit})"
     ]
-    for (depth, span), window in zip(rows, windows):
-        label = _label(span, depth).ljust(label_width)
+    for label, (_, span), window in zip(labels, rows, windows):
+        label = label.ljust(label_width)
         if window is None:
             lines.append(f"{label} |{' ' * width}| (no {clock} data)")
             continue
@@ -110,8 +115,7 @@ def render_timeline(
             index = int((when - t0) / span_total * width)
             if 0 <= index < width:
                 bar[index] = "·"
-        duration = end - start
-        suffix = f"{duration:9.2f}{unit}"
+        suffix = f"{(end - start) * scale:9.2f}{unit}"
         extras = []
         if span.events:
             extras.append(f"{len(span.events)} events")
@@ -124,7 +128,9 @@ def render_timeline(
 
 
 def summary_table(spans: list[Span], clock: str = "sim") -> str:
-    """Aggregate a list of span trees into a per-name duration table."""
+    """Aggregate a list of span trees into a per-name duration table
+    (seconds on the sim clock, milliseconds on the wall clock)."""
+    unit, scale = ("s", 1.0) if clock == "sim" else ("ms", 1000.0)
     totals: dict[str, list[float]] = {}
     event_counts: dict[str, int] = {}
     for root in spans:
@@ -132,7 +138,7 @@ def summary_table(spans: list[Span], clock: str = "sim") -> str:
             window = _window(span, clock)
             if window is not None:
                 totals.setdefault(span.name, []).append(
-                    window[1] - window[0]
+                    (window[1] - window[0]) * scale
                 )
             event_counts[span.name] = (
                 event_counts.get(span.name, 0) + len(span.events)
@@ -140,8 +146,8 @@ def summary_table(spans: list[Span], clock: str = "sim") -> str:
     if not totals:
         return "(no spans)"
     header = (
-        f"{'span':20s} {'count':>5s} {'total_s':>10s} "
-        f"{'mean_s':>10s} {'events':>6s}"
+        f"{'span':20s} {'count':>5s} {'total_' + unit:>10s} "
+        f"{'mean_' + unit:>10s} {'events':>6s}"
     )
     lines = [header]
     for name in sorted(totals, key=lambda n: -sum(totals[n])):

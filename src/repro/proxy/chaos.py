@@ -185,7 +185,6 @@ def run_proxy_chaos(
     )
     telemetry = create_telemetry(
         "proxy-chaos",
-        live_trace=True,
         trace_sample=trace_sample,
         trace_seed=seed,
     )

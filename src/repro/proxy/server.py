@@ -37,11 +37,7 @@ from repro.faults.sockets import SocketFaultPolicy
 from repro.net.runtime import RECV_CHUNK, EventLoopThread
 from repro.net.server import LiveClusterHarness
 from repro.obs import Telemetry, create_telemetry
-from repro.obs.livetrace import (
-    CURRENT_CONTEXT,
-    TraceContext,
-    parse_trace_args,
-)
+from repro.obs.trace import CURRENT_CONTEXT, TraceContext, parse_trace_args
 from repro.proxy.router import ProxyConfig, ProxyRouter
 
 ROUTED_COMMANDS = frozenset({"get", "gets", "set", "delete", "incr", "decr"})
@@ -322,12 +318,14 @@ class ProxyServer:
         picks it up when it hits the backends.  A backend that answers
         with an error line fails this one command with ``SERVER_ERROR``.
         """
-        live = self.router.telemetry.live
+        tracer = self.router.telemetry.tracer
         span = None
-        if trace_ctx is not None and live.enabled:
-            span = live.start_span(f"proxy.{command}", trace_ctx)
-        elif trace_ctx is None and live.enabled:
-            span = live.start_trace(f"proxy.{command}")
+        if tracer.sampling:
+            span = (
+                tracer.start_trace(f"proxy.{command}")
+                if trace_ctx is None
+                else tracer.start_span(f"proxy.{command}", trace_ctx)
+            )
         token = None
         if span is not None:
             token = CURRENT_CONTEXT.set(span.context)

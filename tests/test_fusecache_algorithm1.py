@@ -10,7 +10,7 @@ exact top-n -- and document where it deviates from the corrected
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fusecache import (
@@ -61,14 +61,23 @@ class TestStructure:
 
 class TestApproximation:
     @given(distinct_lists, st.integers(0, 100))
+    @example(
+        lists=[
+            [0.6875, 0.625, 0.5625, 0.5, 0.0],
+            [1.0, 0.875, 0.84375, 0.8125, 0.75],
+        ],
+        n=5,
+    )
     @settings(max_examples=150, deadline=None)
     def test_close_to_exact_top_n(self, lists, n):
         """The printed algorithm's selection differs from the exact
         top-n by at most one boundary item per list per commit round --
-        bounded here as a quarter of the selection (plus slack for tiny
-        n).  Compared as multisets: a positional ``zip`` would let one
-        extra boundary item shift every later element and count the
-        whole tail as mismatched."""
+        bounded here as half of the selection (plus slack for tiny n).
+        The pinned example stalls the printed rules until the round cap,
+        so it exercises the hottest-first completion.  Compared as
+        multisets: a positional ``zip`` would let one extra boundary item
+        shift every later element and count the whole tail as
+        mismatched."""
         picks = fuse_cache_algorithm1(lists, n)
         selected = Counter(selected_multiset(lists, picks))
         exact = Counter(selected_multiset(lists, fuse_cache(lists, n)))

@@ -210,8 +210,7 @@ class TestExporters:
         for line in path.read_text().splitlines():
             json.loads(line)
         dump = read_jsonl(path)
-        assert dump.meta["policy"] == "elmem"
-        assert dump.meta["version"] == 1
+        assert dump.meta == [{"version": 2, "policy": "elmem"}]
         assert len(dump.spans) == 1
         tree = dump.spans[0]
         assert tree.name == "migration"

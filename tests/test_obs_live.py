@@ -6,8 +6,8 @@ Covers the satellite checklist of the observability PR:
   overflow edge cases),
 - Prometheus label-value escaping regression (backslash, quote, newline
   roundtrip through export -> parse),
-- :mod:`repro.obs.livetrace` (frame validation, seeded determinism,
-  sampling, JSONL roundtrip, stitching),
+- :mod:`repro.obs.trace` wire spans (frame validation, seeded
+  determinism, sampling, JSONL roundtrip, stitching),
 - :mod:`repro.obs.scrape` parse-back and quantile estimation,
 - the ``repro top`` renderer as a pure function of canned samples.
 """
@@ -16,18 +16,15 @@ import math
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.obs.export import to_prometheus
-from repro.obs.livetrace import (
-    LiveTracer,
-    NULL_LIVE_TRACER,
-    TraceContext,
-    parse_trace_args,
-    read_live_spans,
-    stitch_spans,
-    trace_to_span_tree,
-    write_live_jsonl,
-)
+from repro.memcached.slab import PAGE_SIZE
+from repro.net.client import NodeClient
+from repro.net.livemigrate import run_live_migration
+from repro.net.runtime import EventLoopThread
+from repro.net.server import LiveClusterHarness
+from repro.obs import NULL_TELEMETRY, create_telemetry
+from repro.obs.export import read_jsonl, to_prometheus, write_jsonl
 from repro.obs.metrics import (
     LATENCY_SECONDS_BUCKETS,
     MetricsRegistry,
@@ -39,7 +36,14 @@ from repro.obs.scrape import (
     histogram_quantile,
     parse_prometheus,
 )
+from repro.obs.timeline import render_timeline
 from repro.obs.top import FleetSample, TopDashboard
+from repro.obs.trace import (
+    CURRENT_CONTEXT,
+    TraceContext,
+    Tracer,
+    parse_trace_args,
+)
 
 
 class TestHistogramQuantile:
@@ -143,21 +147,24 @@ class TestTraceFrameValidation:
 
 class TestLiveTracer:
     def test_fixed_seed_is_deterministic(self):
-        ids_a = [LiveTracer(seed=42).start_trace("t").trace_id]
-        ids_b = [LiveTracer(seed=42).start_trace("t").trace_id]
-        assert ids_a == ids_b
+        def first_id(seed):
+            return Tracer(sample_rate=1.0, seed=seed).start_trace("t").trace_id
+
+        assert first_id(42) == first_id(42)
+        assert first_id(42) != first_id(43)
 
     def test_sampling_extremes(self):
-        never = LiveTracer(sample_rate=0.0, seed=1)
+        never = Tracer(sample_rate=0.0, seed=1)
+        assert not never.sampling
         assert all(never.start_trace("t") is None for _ in range(20))
-        always = LiveTracer(sample_rate=1.0, seed=1)
+        always = Tracer(sample_rate=1.0, seed=1)
         assert all(
             always.start_trace("t") is not None for _ in range(20)
         )
 
     def test_fractional_sampling_is_seeded(self):
         def decisions(seed):
-            tracer = LiveTracer(sample_rate=0.3, seed=seed)
+            tracer = Tracer(sample_rate=0.3, seed=seed)
             return [
                 tracer.start_trace("t") is not None for _ in range(50)
             ]
@@ -167,73 +174,236 @@ class TestLiveTracer:
         assert any(first) and not all(first)
 
     def test_span_recorded_only_on_end(self):
-        tracer = LiveTracer("p")
+        tracer = Tracer("p", sample_rate=1.0)
         root = tracer.start_trace("root")
-        assert tracer.spans == []
+        assert tracer.roots == []
         root.end()
         root.end()  # idempotent
-        assert [s.name for s in tracer.spans] == ["root"]
+        assert [s.name for s in tracer.roots] == ["root"]
 
     def test_null_tracer_preserves_foreign_chain(self):
-        ctx = TraceContext("aaaa", "bbbb")
-        span = NULL_LIVE_TRACER.start_span("x", ctx)
-        assert span.trace_id == "aaaa"
-        span.end()
-        assert NULL_LIVE_TRACER.spans == []
+        """A client whose own tracer is off forwards a foreign context
+        unchanged, so the backend's span joins the foreign trace."""
+        backend = create_telemetry("backend", trace_sample=1.0)
+        loop = EventLoopThread(name="foreign-chain")
+        loop.start()
+        try:
+            with LiveClusterHarness(
+                ["n0"], 4 * PAGE_SIZE, telemetry=backend
+            ) as harness:
+                client = NodeClient(
+                    "n0", *harness.endpoints["n0"], telemetry=NULL_TELEMETRY
+                )
+                token = CURRENT_CONTEXT.set(TraceContext("aaaa", "bbbb"))
+                try:
+                    assert loop.call(client.get("k"), timeout=10.0) is None
+                finally:
+                    CURRENT_CONTEXT.reset(token)
+                loop.call(client.close(), timeout=5.0)
+        finally:
+            loop.stop()
+        [span] = backend.tracer.roots
+        assert span.name == "server.get"
+        assert (span.trace_id, span.parent_id) == ("aaaa", "bbbb")
+
+
+def _wire_spans(tmp_path):
+    """A proxy and a backend tracer, one request between them, each
+    exported to its own file; returns the paths and the three spans."""
+    proxy = Tracer("proxy", sample_rate=1.0, seed=3)
+    backend = Tracer("backend", sample_rate=1.0, seed=4)
+    root = proxy.start_trace("proxy.get", key="k")
+    rpc = proxy.start_span("client.rpc", root.context, node="n0")
+    remote = backend.start_span("server.get", rpc.context)
+    remote.end()
+    rpc.end()
+    root.end()
+    registry = MetricsRegistry()
+    registry.counter("x_total").inc()
+    proxy_path = write_jsonl(tmp_path / "proxy.jsonl", proxy, registry)
+    backend_path = write_jsonl(tmp_path / "backend.jsonl", backend)
+    return [proxy_path, backend_path], (root, rpc, remote)
+
+
+def _shape(span):
+    """A span tree as comparable nested tuples, wall clock included."""
+    return (
+        span.trace_id,
+        span.span_id,
+        span.parent_id,
+        span.name,
+        span.process,
+        span.start_wall_s,
+        span.end_wall_s,
+        span.start_sim_s,
+        span.end_sim_s,
+        span.attributes,
+        [event.to_dict() for event in span.events],
+        [_shape(child) for child in span.children],
+    )
 
 
 class TestJsonlRoundtripAndStitch:
-    def _spans(self, tmp_path):
-        proxy = LiveTracer("proxy", seed=3)
-        backend = LiveTracer("backend", seed=4)
-        root = proxy.start_trace("proxy.get", key="k")
-        rpc = proxy.start_span("client.rpc", root.context, node="n0")
-        remote = backend.start_span("server.get", rpc.context)
-        remote.end()
-        rpc.end()
-        root.end()
-        registry = MetricsRegistry()
-        registry.counter("x_total").inc()
-        proxy_path = tmp_path / "proxy.jsonl"
-        backend_path = tmp_path / "backend.jsonl"
-        assert write_live_jsonl(proxy_path, proxy, metrics=registry) == 2
-        assert write_live_jsonl(backend_path, backend) == 1
-        return [proxy_path, backend_path], root
-
     def test_two_files_stitch_into_one_trace(self, tmp_path):
-        paths, root = self._spans(tmp_path)
-        spans = read_live_spans(paths)
-        assert len(spans) == 3  # live_meta/live_metric lines skipped
-        traces = stitch_spans(spans)
-        assert len(traces) == 1
-        trace = traces[0]
-        assert trace.trace_id == root.trace_id
-        assert trace.processes == ["proxy", "backend"]
-        assert {s.name for s in trace.spans} == {
+        paths, (root, _, _) = _wire_spans(tmp_path)
+        dump = read_jsonl(*paths)
+        assert len(dump.metrics) == 1
+        assert [tree.trace_id for tree in dump.spans] == [root.trace_id]
+        spans = list(dump.spans[0].walk())
+        assert {s.name for s in spans} == {
             "proxy.get",
             "client.rpc",
             "server.get",
         }
+        processes = list(dict.fromkeys(s.process for s in spans))
+        assert processes == ["proxy", "backend"]
 
     def test_span_tree_renders_nested(self, tmp_path):
-        paths, _ = self._spans(tmp_path)
-        trace = stitch_spans(read_live_spans(paths))[0]
-        tree = trace_to_span_tree(trace)
-        assert tree.name == "proxy:proxy.get"
-        assert tree.children[0].name == "proxy:client.rpc"
-        assert tree.children[0].children[0].name == "backend:server.get"
+        paths, _ = _wire_spans(tmp_path)
+        tree = read_jsonl(*paths).spans[0]
+        assert (tree.process, tree.name) == ("proxy", "proxy.get")
+        rpc = tree.children[0]
+        assert (rpc.process, rpc.name) == ("proxy", "client.rpc")
+        remote = rpc.children[0]
+        assert (remote.process, remote.name) == ("backend", "server.get")
+        text = render_timeline(tree, clock="wall")
+        assert "proxy:client.rpc" in text and "backend:server.get" in text
 
-    def test_orphan_spans_get_synthetic_root(self):
-        a = LiveTracer("a", seed=1)
+    def test_orphan_spans_get_synthetic_root(self, tmp_path):
+        a = Tracer("a", sample_rate=1.0, seed=1)
         ctx = TraceContext("feed", "01")
         first = a.start_span("one", ctx)
         second = a.start_span("two", ctx)
         first.end()
         second.end()
-        trace = stitch_spans(a.spans)[0]
-        tree = trace_to_span_tree(trace)
+        [tree] = read_jsonl(write_jsonl(tmp_path / "a.jsonl", a)).spans
         assert tree.name == "trace feed"
-        assert len(tree.children) == 2
+        assert [child.name for child in tree.children] == ["one", "two"]
+
+    def test_sim_tree_and_wire_spans_round_trip(self, tmp_path):
+        """A sim migration tree (sim windows, retry events) and wire
+        spans from two tracers come back from ``read_jsonl`` as the
+        same trees."""
+        sim = Tracer("master", seed=5)
+        migration = sim.root("migration", sim_s=10.0, kind="scale_in")
+        plan = migration.child("plan")
+        plan.sim_window(10.0, 12.5)
+        plan.end()
+        pair = migration.child("pair", sim_s=12.5, src="a", dst="b")
+        pair.event("retry", sim_s=13.0, backoff_s=2.0)
+        pair.end(sim_s=15.0)
+        migration.end(sim_s=15.0)
+        sim.event("fault.injected", sim_s=11.0, kind="node_crash")
+        sim_path = write_jsonl(tmp_path / "sim.jsonl", sim)
+        paths, (root, rpc, remote) = _wire_spans(tmp_path)
+        # Wire spans keep no child links in-process; the reader adds them.
+        root.children.append(rpc)
+        rpc.children.append(remote)
+
+        dump = read_jsonl(sim_path, *paths)
+        assert [_shape(tree) for tree in dump.spans] == [
+            _shape(migration),
+            _shape(root),
+        ]
+        assert dump.spans[0].find("plan").sim_s == pytest.approx(2.5)
+        assert [event.name for event in dump.events] == ["fault.injected"]
+        assert [meta["version"] for meta in dump.meta] == [2, 2, 2]
+
+
+class TestOneTimeline:
+    def test_live_migration_is_one_trace(self, tmp_path):
+        """The Master's migration tree joins the scenario's trace, so
+        its phases and the wire spans they caused rebuild into one
+        tree on one wall clock."""
+        path = tmp_path / "live.jsonl"
+        run_live_migration(
+            nodes=3,
+            retire=1,
+            items=300,
+            seed=7,
+            verify=False,
+            telemetry=create_telemetry("live", trace_sample=1.0, trace_seed=7),
+            trace_jsonl=str(path),
+        )
+        [tree] = read_jsonl(path).spans
+        names = {span.name for span in tree.walk()}
+        assert {"migration", "plan", "dump", "import", "switch"} <= names
+        assert "server.batch_import" in names
+        migration = tree.find("migration")
+        assert migration.trace_id == tree.trace_id
+        assert migration.parent_id is not None
+
+    def test_quiet_telemetry_sends_no_trace_frames(self, monkeypatch):
+        """A tracer that records but does not sample keeps the Master's
+        tree and puts no trace frame on the wire."""
+        import repro.memcached.protocol as protocol
+
+        frames = []
+
+        def counting(args):
+            frames.append(tuple(args))
+            return parse_trace_args(args)
+
+        monkeypatch.setattr(protocol, "parse_trace_args", counting)
+        telemetry = create_telemetry("quiet")
+        run_live_migration(
+            nodes=3, retire=1, items=300, seed=7, telemetry=telemetry
+        )
+        assert frames == []
+        assert telemetry.tracer.find_roots("migration")
+
+    def test_obs_renders_every_sim_tree_by_default(self, tmp_path, capsys):
+        sim = Tracer("sim")
+        for at in range(7):
+            sim.root("migration", sim_s=float(at)).end(sim_s=at + 0.5)
+        path = write_jsonl(tmp_path / "sim.jsonl", sim)
+        assert cli_main(["obs", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("migration timeline (sim clock") == 7
+        assert "more trace(s)" not in out
+
+    def test_obs_renders_every_file_given(self, tmp_path, capsys):
+        sim = Tracer("sim")
+        root = sim.root("migration", sim_s=0.0)
+        root.child("switch", sim_s=1.0).end(sim_s=2.0)
+        root.end(sim_s=2.0)
+        sim.event("fault.injected", sim_s=1.5, kind="node_crash")
+        sim_path = write_jsonl(tmp_path / "sim.jsonl", sim, meta={"run": 1})
+        paths, _ = _wire_spans(tmp_path)
+        assert cli_main(["obs", str(sim_path), *map(str, paths)]) == 0
+        out = capsys.readouterr().out
+        assert "run: run=1" in out
+        assert "migration timeline (sim clock" in out
+        assert "proxy.get timeline (wall clock" in out
+        assert "backend:server.get" in out
+        assert "fault.injected" in out
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"type": "span", "trace_id": "ab',  # torn mid-write
+            '{"type": "live_span"}',  # the retired live-only format
+        ],
+    )
+    def test_obs_reports_bad_input_by_path_and_line(
+        self, tmp_path, capsys, bad_line
+    ):
+        paths, _ = _wire_spans(tmp_path)
+        with open(paths[1], "a", encoding="utf-8") as handle:
+            handle.write(bad_line + "\n")
+        lines = paths[1].read_text().count("\n")
+        with pytest.raises(ConfigurationError, match=f":{lines}: "):
+            read_jsonl(*paths)
+        assert cli_main(["obs", *map(str, paths)]) == 1
+        err = capsys.readouterr().err
+        assert f"{paths[1]}:{lines}: " in err
+        assert "Traceback" not in err
+
+    def test_obs_rejects_a_file_of_another_version(self, tmp_path, capsys):
+        path = tmp_path / "old.jsonl"
+        path.write_text('{"type": "meta", "version": 1}\n')
+        assert cli_main(["obs", str(path)]) == 1
+        assert f"{path}:1: " in capsys.readouterr().err
 
 
 class TestScrapeParsing:

@@ -23,11 +23,7 @@ import pytest
 from repro.net.client import NodeClient
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
-from repro.obs.livetrace import (
-    read_live_spans,
-    stitch_spans,
-    write_live_jsonl,
-)
+from repro.obs.export import read_jsonl, write_jsonl
 from repro.proxy.router import ProxyRouter
 from repro.proxy.server import ProxyServer
 
@@ -91,9 +87,7 @@ def test_one_trace_id_spans_two_processes(tmp_path):
     proxy_jsonl = str(tmp_path / "proxy_spans.jsonl")
     backend = _spawn_backend(backend_jsonl)
     loop = EventLoopThread(name="trace-wire-proxy")
-    telemetry = create_telemetry(
-        "test-proxy", live_trace=True, trace_sample=1.0, trace_seed=1
-    )
+    telemetry = create_telemetry("test-proxy", trace_sample=1.0, trace_seed=1)
     server = None
     client = None
     try:
@@ -122,35 +116,29 @@ def test_one_trace_id_spans_two_processes(tmp_path):
             backend.communicate()
             pytest.fail("backend did not exit after SIGTERM")
     assert backend.returncode == 0, tail
-    write_live_jsonl(proxy_jsonl, telemetry.live, metrics=telemetry.metrics)
+    write_jsonl(proxy_jsonl, telemetry.tracer, telemetry.metrics)
 
-    spans = read_live_spans([backend_jsonl, proxy_jsonl])
-    traces = stitch_spans(spans)
+    traces = read_jsonl(backend_jsonl, proxy_jsonl).spans
     assert traces, "no stitched traces recovered from the JSONL exports"
+    trace_spans = [list(tree.walk()) for tree in traces]
     get_traces = [
-        trace
-        for trace in traces
-        if {"test-proxy", "serve"} <= set(trace.processes)
-        and any(s.name == "proxy.get" for s in trace.spans)
+        spans
+        for spans in trace_spans
+        if {"test-proxy", "serve"} <= {s.process for s in spans}
+        and any(s.name == "proxy.get" for s in spans)
     ]
     assert get_traces, (
         "no trace crossed both processes with a proxy.get span: "
-        f"{[(t.processes, sorted({s.name for s in t.spans})) for t in traces]}"
+        f"{[sorted({(s.process, s.name) for s in t}) for t in trace_spans]}"
     )
-    trace = get_traces[0]
-    names = {span.name for span in trace.spans}
+    spans = get_traces[0]
+    names = {span.name for span in spans}
     # One trace id covers the proxy hop, the client RPC, and the remote
     # backend's execution -- the cross-process stitch.
     assert {"proxy.get", "client.rpc", "server.get"} <= names
-    assert all(span.trace_id == trace.trace_id for span in trace.spans)
-    by_process = {
-        span.process for span in trace.spans
-    }
-    assert {"test-proxy", "serve"} <= by_process
+    assert len({span.trace_id for span in spans}) == 1
     # Parent links hold across the process boundary: the backend span's
     # parent is the proxy-side client RPC span.
-    server_get = next(s for s in trace.spans if s.name == "server.get")
-    rpc_ids = {
-        s.span_id for s in trace.spans if s.name == "client.rpc"
-    }
+    server_get = next(s for s in spans if s.name == "server.get")
+    rpc_ids = {s.span_id for s in spans if s.name == "client.rpc"}
     assert server_get.parent_id in rpc_ids
