@@ -25,16 +25,12 @@ REP105    threadsafe-loop-access       loop methods that are not thread-safe
                                        (``call_soon``, ``create_task``)
                                        invoked from synchronous code holding a
                                        loop reference
-REP106    no-contextvar-across-bridge  ambient contextvar reads in async-tier
-                                       coroutines: contextvars do not cross
-                                       ``run_coroutine_threadsafe``, so bridged
-                                       callers silently read the default
 ========  ===========================  ========================================
 
 Every rule is a pure AST check -- no imports of the checked code -- so the
 pack runs on fixtures, tests, and the live tree alike.  Deliberate
 exceptions carry ``repro: allow[REP1xx]`` markers exactly like the REP0xx
-rules (e.g. the ambient trace-context read in ``net/client.py``).
+rules.
 """
 
 from __future__ import annotations
@@ -43,11 +39,6 @@ import ast
 from typing import Iterator
 
 from repro.check.lint import LintRule, Module, Violation
-
-#: Packages whose coroutines routinely run on a loop that synchronous
-#: threads drive through :class:`~repro.net.runtime.EventLoopThread` --
-#: the scope of the contextvar-bridge rule.
-ASYNC_BRIDGED_PACKAGES = ("repro.net", "repro.proxy")
 
 
 def _terminal_name(node: ast.AST) -> str | None:
@@ -457,70 +448,14 @@ class ThreadsafeLoopAccessRule(LintRule):
                 )
 
 
-class NoContextvarAcrossBridgeRule(LintRule):
-    """REP106: ambient contextvar reads in bridged async-tier coroutines.
-
-    Contextvars propagate through ``await`` within one task but **not**
-    across ``run_coroutine_threadsafe`` -- the mechanism every
-    synchronous caller in this repo uses to reach the live tier.  A
-    coroutine in ``repro.net``/``repro.proxy`` that reads an ambient
-    contextvar therefore silently sees the default when driven through
-    the bridge.  Provide an explicit override attribute, or mark a
-    deliberate ambient read with ``repro: allow[REP106]``.
-    """
-
-    code = "REP106"
-    name = "no-contextvar-across-bridge"
-    description = "ambient contextvar read in a thread-bridged coroutine"
-
-    READER_CALLS = frozenset({"current_context", "copy_context"})
-
-    def applies_to(self, module: Module) -> bool:
-        return module.in_packages(*ASYNC_BRIDGED_PACKAGES)
-
-    @staticmethod
-    def _contextvar_get(node: ast.Call) -> str | None:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "get"):
-            return None
-        name = _terminal_name(func.value)
-        if name is None:
-            return None
-        if name.isupper() or name.endswith(("_CONTEXT", "_VAR")):
-            return name
-        return None
-
-    def check(self, module: Module) -> Iterator[Violation]:
-        for func in _functions(module.tree):
-            if not isinstance(func, ast.AsyncFunctionDef):
-                continue
-            for node in _walk_scope(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                called = _terminal_name(node.func)
-                var_name = self._contextvar_get(node)
-                if called in self.READER_CALLS or var_name is not None:
-                    subject = var_name or f"{called}()"
-                    yield self.violation(
-                        module,
-                        node,
-                        f"ambient contextvar read (`{subject}`) inside "
-                        f"`async def {func.name}`: contextvars do not "
-                        "cross run_coroutine_threadsafe, so bridged "
-                        "callers read the default; accept an explicit "
-                        "override",
-                    )
-
-
 ASYNC_RULES: tuple[LintRule, ...] = (
     NoBlockingCallInAsyncRule(),
     NoUnawaitedCoroutineRule(),
     NoUntrackedTaskSpawnRule(),
     NoAwaitUnderSyncLockRule(),
     ThreadsafeLoopAccessRule(),
-    NoContextvarAcrossBridgeRule(),
 )
-"""The concurrency-safety rule pack, in code order (REP101..REP106)."""
+"""The concurrency-safety rule pack, in code order (REP101..REP105)."""
 
 
 def async_rule_catalogue() -> list[tuple[str, str, str]]:

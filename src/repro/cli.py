@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -1701,7 +1702,17 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flush inside the try so a closed pipe surfaces here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro obs ... | head``).  Point stdout
+        # at devnull so the interpreter's exit flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

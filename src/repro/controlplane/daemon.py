@@ -20,12 +20,6 @@ The admin API (:mod:`repro.controlplane.admin`) serves from its own
 :class:`~repro.net.runtime.EventLoopThread` and only ever enqueues
 commands or reads cached state, so a migration in flight never blocks
 ``GET /status``.
-
-The cluster handle is duck-typed: a live
-:class:`~repro.net.cluster.LiveCluster` (nodes expose ``wire_stats()``)
-or an in-process :class:`~repro.memcached.cluster.MemcachedCluster`
-(nodes expose ``.stats``) both work, which is how the admin-API tests
-run without sockets.
 """
 
 from __future__ import annotations
@@ -46,6 +40,7 @@ from repro.errors import (
     TransportError,
     WireProtocolError,
 )
+from repro.memcached.cluster import MemcachedCluster
 from repro.net.runtime import EventLoopThread
 from repro.obs import NULL_TELEMETRY, Telemetry
 
@@ -82,7 +77,8 @@ class ControlPlane:
     Parameters
     ----------
     cluster:
-        The tier to supervise (``LiveCluster`` or ``MemcachedCluster``).
+        The tier to supervise: a ``MemcachedCluster`` of in-process
+        nodes or a ``LiveCluster`` of remote ones.
     engine:
         The shared decision engine; feed its profiling window from the
         request path (``generator.key_observer = engine.observe_many``).
@@ -104,7 +100,7 @@ class ControlPlane:
 
     def __init__(
         self,
-        cluster: Any,
+        cluster: MemcachedCluster,
         engine: ScalingEngine,
         master: Master | None = None,
         config: ControlPlaneConfig | None = None,
@@ -273,20 +269,8 @@ class ControlPlane:
         """Request-counter sum over the active members only."""
         total = 0
         for name in list(self.cluster.active_members):
-            node = self.cluster.nodes[name]
-            wire = getattr(node, "wire_stats", None)
-            if wire is not None:
-                stats = wire()
-                total += (
-                    stats.get("get_hits", 0)
-                    + stats.get("get_misses", 0)
-                    + stats.get("cmd_set", 0)
-                )
-            else:
-                counters = node.stats
-                total += (
-                    counters.get_hits + counters.get_misses + counters.sets
-                )
+            stats = self.cluster.nodes[name].stats
+            total += stats.gets + stats.sets
         return total
 
     # ------------------------------------------------------------------

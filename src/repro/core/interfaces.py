@@ -1,12 +1,13 @@
-"""Structural interfaces between the control plane and the cache tier.
+"""Structural interfaces for the cache-node surface the control plane reads.
 
-The Master, the migration policies, and the scoring step were written
-against the in-process :class:`~repro.memcached.cluster.MemcachedCluster`;
-the live TCP tier (:mod:`repro.net`) provides the same surface over
-sockets.  These :class:`~typing.Protocol` classes pin down exactly which
-slice of the cache tier the control plane is allowed to touch, so both
-implementations satisfy one contract and the Master stays oblivious to
-whether a node is a Python object or a socket away.
+The Master, the Agent, the migration policies and the scoring step drive
+one cluster type, :class:`~repro.memcached.cluster.MemcachedCluster`,
+whose nodes come in two kinds: in-process
+:class:`~repro.memcached.node.MemcachedNode` objects and live
+:class:`~repro.net.cluster.RemoteNode` objects a socket away.  These
+:class:`~typing.Protocol` classes pin down exactly which slice of a node
+the control plane is allowed to touch, so both node kinds satisfy one
+contract.
 
 Everything is structural (no registration, no inheritance): an object
 with the right attributes *is* a :class:`CacheNode`.  Members are
@@ -17,10 +18,9 @@ frozen dataclasses alike.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any, Protocol
 
-from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.node import MigratedItem
 
 
@@ -115,68 +115,3 @@ class CacheNode(Protocol):
         now: float = 0.0,
     ) -> int: ...
 
-
-class CacheCluster(Protocol):
-    """The cluster surface the Master and the policies drive.
-
-    Implemented in-process by
-    :class:`~repro.memcached.cluster.MemcachedCluster` and over TCP by
-    :class:`~repro.net.cluster.LiveCluster`.
-    """
-
-    @property
-    def vnodes(self) -> int: ...
-
-    @property
-    def nodes(self) -> Mapping[str, CacheNode]: ...
-
-    @property
-    def ring(self) -> ConsistentHashRing: ...
-
-    @property
-    def active_members(self) -> frozenset[str]: ...
-
-    @property
-    def active_nodes(self) -> Sequence[CacheNode]: ...
-
-    # -- membership ------------------------------------------------------
-
-    def provision(self, name: str) -> CacheNode: ...
-
-    def activate(self, name: str) -> None: ...
-
-    def deactivate(self, name: str) -> None: ...
-
-    def destroy(self, name: str) -> None: ...
-
-    def set_membership(self, names: Iterable[str]) -> None: ...
-
-    def ring_for(self, members: Iterable[str]) -> ConsistentHashRing: ...
-
-    # -- routing + client operations -------------------------------------
-
-    def route(self, key: str) -> str: ...
-
-    def route_many(self, keys: list[str]) -> list[str]: ...
-
-    def get(self, key: str, now: float) -> Any | None: ...
-
-    def set(
-        self, key: str, value: Any, value_size: int, now: float
-    ) -> bool: ...
-
-    def delete(self, key: str) -> bool: ...
-
-    def get_many(
-        self, keys: Iterable[str], now: float
-    ) -> list[Any | None]: ...
-
-    def set_many(
-        self, entries: Iterable[tuple[str, Any, int]], now: float
-    ) -> int: ...
-
-    def delete_many(self, keys: Iterable[str]) -> int: ...
-
-    def multiget(
-        self, keys: Iterable[str], now: float
-    ) -> tuple[dict[str, Any], list[str]]: ...

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.agent import Agent
 from repro.core.fusecache import fuse_cache_detailed
-from repro.core.interfaces import CacheCluster
 from repro.core.retry import RetryPolicy
 from repro.core.scoring import choose_nodes_to_retire
 from repro.errors import (
@@ -39,6 +38,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.memcached.cluster import MemcachedCluster
+from repro.memcached.node import MemcachedNode
 from repro.netsim.transfer import Flow, NetworkModel
 from repro.obs import NULL_SPAN, NULL_TELEMETRY, Telemetry
 
@@ -234,7 +234,7 @@ class Master:
 
     def __init__(
         self,
-        cluster: CacheCluster,
+        cluster: MemcachedCluster,
         network: NetworkModel | None = None,
         import_mode: str = "merge",
         dump_rate_items_s: float = 100_000.0,
@@ -269,9 +269,12 @@ class Master:
         self.strict_mode = strict_mode
         self.strict_checker = None
         if strict_mode:
-            if not isinstance(cluster, MemcachedCluster):
+            if not all(
+                isinstance(node, MemcachedNode)
+                for node in cluster.nodes.values()
+            ):
                 raise ConfigurationError(
-                    "strict_mode requires an in-process MemcachedCluster; "
+                    "strict_mode requires in-process MemcachedNodes; "
                     "the invariant validators read private cache state a "
                     "live cluster cannot expose"
                 )

@@ -26,10 +26,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.interfaces import CacheCluster
 from repro.core.master import Master, MigrationPlan, MigrationReport
 from repro.errors import MigrationError
 from repro.hashing.ketama import ConsistentHashRing
+from repro.memcached.cluster import MemcachedCluster
 
 
 @dataclass
@@ -62,7 +62,7 @@ class MigrationPolicy(ABC):
     name = "abstract"
 
     def __init__(self) -> None:
-        self.cluster: CacheCluster | None = None
+        self.cluster: MemcachedCluster | None = None
         self.master: Master | None = None
         self.rng = random.Random(0)
         self.events: list[ScalingEvent] = []
@@ -71,7 +71,7 @@ class MigrationPolicy(ABC):
 
     def bind(
         self,
-        cluster: CacheCluster,
+        cluster: MemcachedCluster,
         master: Master,
         rng: random.Random | None = None,
     ) -> None:

@@ -306,7 +306,8 @@ class LiveScenario:
                 [
                     (key, (0, payload_for(key, value_bytes)), value_bytes)
                     for key in distinct[start : start + SEED_BATCH]
-                ]
+                ],
+                now=0.0,
             )
 
 

@@ -6,6 +6,10 @@ nodes themselves are unaware of key ownership.  Nodes can be deactivated
 (removed from the ring) without being destroyed, which is what lets
 CacheScale keep reading from retiring nodes as a "secondary cache" and what
 lets ElMem migrate data off a node before turning it off.
+
+This is the one client-side view of the tier: the live cluster
+(:class:`~repro.net.cluster.LiveCluster`) is this class over nodes
+reached through sockets, and only provisioning and teardown differ.
 """
 
 from __future__ import annotations
@@ -16,10 +20,17 @@ from typing import Any
 from repro.errors import MembershipError
 from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
 from repro.memcached.node import MemcachedNode, NodeStats
+from repro.memcached.slab import PAGE_SIZE
 
 
 class MemcachedCluster:
-    """A pool of :class:`MemcachedNode` with ketama routing.
+    """A pool of cache nodes with ketama routing.
+
+    Nodes are in-process :class:`MemcachedNode` objects here; the
+    membership, rebalancer remaps, routing and batched operations only
+    use the node surface that :class:`~repro.net.cluster.RemoteNode`
+    also serves, so subclasses change how a node is provisioned and
+    nothing else.
 
     Parameters
     ----------
@@ -106,6 +117,7 @@ class MemcachedCluster:
             raise MembershipError(f"node {name!r} not provisioned")
         if name in self.ring:
             self.ring.remove_node(name)
+            self._drop_stale_remaps()
         node.flush_all()
 
     def set_membership(self, names: Iterable[str]) -> None:
@@ -290,8 +302,10 @@ class MemcachedCluster:
         return sum(node.used_bytes for node in self.active_nodes)
 
     def total_capacity_bytes(self) -> int:
-        """Aggregate cache memory of the active membership."""
-        return self.memory_per_node * len(self.ring)
+        """Aggregate slab memory (whole pages) of the active membership."""
+        return PAGE_SIZE * sum(
+            node.slabs.total_pages for node in self.active_nodes
+        )
 
     def aggregate_stats(self) -> NodeStats:
         """Sum of per-node counters over the whole pool."""
@@ -310,6 +324,6 @@ class MemcachedCluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MemcachedCluster(active={sorted(self.ring.members)}, "
+            f"{type(self).__name__}(active={sorted(self.ring.members)}, "
             f"pool={len(self.nodes)})"
         )

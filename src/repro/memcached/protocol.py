@@ -55,7 +55,19 @@ MAX_KEY_LENGTH = 250
 IMPORT_MODES = frozenset({"merge", "prepend", "fresh"})
 
 
-def _wire_value(value: object) -> tuple[int, bytes]:
+STATS_COUNTERS = (
+    ("cmd_set", "sets"),
+    ("get_hits", "get_hits"),
+    ("get_misses", "get_misses"),
+    ("delete_hits", "deletes"),
+    ("evictions", "evictions"),
+    ("expired_unfetched", "expired"),
+)
+"""``(stats name, NodeStats field)`` for each counter ``stats`` reports;
+a client maps the reply back onto :class:`NodeStats` with the same rows."""
+
+
+def wire_value(value: object) -> tuple[int, bytes]:
     """Serialize a cached value as ``(flags, payload)`` for the wire.
 
     Values stored through the protocol are always ``(flags, payload)``
@@ -476,12 +488,7 @@ class TextProtocolServer:
             ("bytes", self.node.used_bytes),
             ("limit_maxbytes", self.node.memory_bytes),
             ("cmd_get", stats.gets),
-            ("cmd_set", stats.sets),
-            ("get_hits", stats.get_hits),
-            ("get_misses", stats.get_misses),
-            ("delete_hits", stats.deletes),
-            ("evictions", stats.evictions),
-            ("expired_unfetched", stats.expired),
+            *((name, getattr(stats, field)) for name, field in STATS_COUNTERS),
         ]
         body = b"".join(
             f"STAT {name} {value}".encode("utf-8") + CRLF
@@ -626,7 +633,7 @@ class TextProtocolServer:
     def _finish_export(self, state: _ExportState) -> bytes:
         chunks: list[bytes] = []
         for record in self.node.export_items(state.keys):
-            flags, payload = _wire_value(record.value)
+            flags, payload = wire_value(record.value)
             header = (
                 f"ITEM {record.key} {flags} {record.last_access} "
                 f"{len(payload)}"

@@ -12,10 +12,10 @@ this package runs it over real sockets:
   request pipelining, and timeout/retry behaviour built on
   :class:`~repro.core.retry.RetryPolicy`;
 - :mod:`repro.net.cluster` -- :class:`~repro.net.cluster.LiveCluster`,
-  a synchronous facade with the same interface as
-  :class:`~repro.memcached.cluster.MemcachedCluster`, so the existing
-  :class:`~repro.core.master.Master` executes a real three-phase
-  migration over TCP;
+  the :class:`~repro.memcached.cluster.MemcachedCluster` whose nodes are
+  :class:`~repro.net.cluster.RemoteNode` objects over sockets, so the
+  existing :class:`~repro.core.master.Master` executes a real
+  three-phase migration over TCP;
 - :mod:`repro.net.livemigrate` -- a scripted live scale-in used by the
   CLI (``repro live-migrate``) and CI, which optionally verifies the
   socket path against the in-process path byte for byte;

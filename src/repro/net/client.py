@@ -33,6 +33,7 @@ from typing import Any, Callable, Generator, Iterable, TypeVar
 from repro.core.retry import RetryPolicy
 from repro.errors import TransportError, WireProtocolError
 from repro.memcached.node import MigratedItem
+from repro.memcached.protocol import wire_value
 from repro.net.runtime import RECV_CHUNK
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import current_context
@@ -423,10 +424,10 @@ class NodeClient:
             return []
         self._m_requests.inc()
         self._m_depth.observe(len(requests))
-        # Deliberate: run_coroutine_threadsafe runs each bridged call in
-        # a copy of the submitting thread's context, so the ambient
-        # context reaches here from both sides of the bridge.
-        ctx = current_context()  # repro: allow[REP106]
+        # run_coroutine_threadsafe runs each bridged call in a copy of
+        # the submitting thread's context, so the ambient context
+        # reaches here from both sides of the bridge.
+        ctx = current_context()
         span = None
         wire = b"".join(request.wire for request in requests)
         if ctx is not None:
@@ -640,7 +641,7 @@ class NodeClient:
             chunk = records[start : start + IMPORT_BATCH_RECORDS]
             frames = [_command(f"batch_import {mode} {len(chunk)}")]
             for record in chunk:
-                flags, payload = _wire_payload(record)
+                flags, payload = wire_value(record.value)
                 frames.append(
                     _command(
                         f"{record.key} {record.last_access} "
@@ -658,17 +659,3 @@ class NodeClient:
             imported += int(response.split()[1])
         return imported
 
-
-def _wire_payload(record: MigratedItem) -> tuple[int, bytes]:
-    """Flags + payload bytes of one migrated record."""
-    value = record.value
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        flags = value[0] if isinstance(value[0], int) else 0
-        return flags, bytes(value[1])
-    if isinstance(value, (bytes, bytearray)):
-        return 0, bytes(value)
-    return 0, str(value).encode("utf-8")

@@ -1,25 +1,25 @@
-"""A synchronous cluster facade over live TCP nodes.
+"""The live cluster: :class:`~repro.memcached.cluster.MemcachedCluster`
+over nodes reached through sockets.
 
-:class:`LiveCluster` mirrors the interface of
-:class:`~repro.memcached.cluster.MemcachedCluster` -- membership
-(``provision``/``activate``/``deactivate``/``destroy``/
-``set_membership``), ketama routing with rebalancer remaps, and the
-client operations (``get``/``set``/``delete`` plus their batched
-variants) -- but every node is a :class:`RemoteNode` reached over a
-socket instead of an in-process :class:`~repro.memcached.node.
-MemcachedNode`.  Because the surface matches, the existing
+:class:`LiveCluster` inherits the membership, ketama routing with
+rebalancer remaps, and the client operations (``get``/``set``/``delete``
+plus their batched variants) from ``MemcachedCluster``; its nodes are
+:class:`RemoteNode` objects instead of in-process
+:class:`~repro.memcached.node.MemcachedNode` ones.  It only changes how a
+node joins the pool (attaching a registered endpoint) and leaves it
+(closing its connections), so the existing
 :class:`~repro.core.master.Master` plans and executes a real three-phase
-migration over TCP without knowing the difference.
+migration over TCP.
 
-:class:`RemoteNode` duck-types the slice of the node API the Master, the
-Agent, and the scoring step consume.  Metadata reads (``ts_dump`` rows,
-slab geometry) are served from a cached snapshot refreshed lazily and
-invalidated by mutations, so a planning pass costs a handful of round
-trips per node instead of one per key; data moves (``export_items`` /
-``batch_import``) always hit the wire.
+:class:`RemoteNode` serves the slice of the node API the cluster, the
+Master, the Agent, and the scoring step consume.  Metadata reads
+(``ts_dump`` rows, slab geometry) are served from a cached snapshot
+refreshed lazily and invalidated by mutations, so a planning pass costs a
+handful of round trips per node instead of one per key; data moves
+(``export_items`` / ``batch_import``) always hit the wire.
 
 One :class:`~repro.net.runtime.EventLoopThread` per cluster runs every
-client's socket I/O; the facade blocks on it, which is what lets the
+client's socket I/O; the cluster blocks on it, which is what lets the
 synchronous Master drive asyncio sockets unchanged.
 """
 
@@ -32,8 +32,10 @@ from typing import Any, Coroutine
 from repro.check.loopcheck import create_sanitizer
 from repro.core.retry import RetryPolicy
 from repro.errors import ConfigurationError, MembershipError, TransportError
-from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
+from repro.hashing.ketama import DEFAULT_VNODES
+from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.node import MigratedItem, NodeStats
+from repro.memcached.protocol import STATS_COUNTERS, wire_value
 from repro.memcached.slab import PAGE_SIZE, size_class_table
 from repro.net.client import NodeClient
 from repro.net.runtime import EventLoopThread
@@ -59,13 +61,12 @@ class _RemoteItem:
 class _RemoteSlabClass:
     """Wire-reported geometry of one slab class on a live node."""
 
-    __slots__ = ("class_id", "chunk_size", "pages", "used_chunks", "mru_rows")
+    __slots__ = ("class_id", "chunk_size", "pages", "mru_rows")
 
     def __init__(self, class_id: int, chunk_size: int) -> None:
         self.class_id = class_id
         self.chunk_size = chunk_size
         self.pages = 0
-        self.used_chunks = 0
         # (key, last_access, value_size) rows in MRU order, from ts_dump.
         self.mru_rows: list[tuple[str, float, int]] = []
 
@@ -76,10 +77,6 @@ class _RemoteSlabClass:
     @property
     def total_chunks(self) -> int:
         return self.pages * self.chunks_per_page
-
-    @property
-    def free_chunks(self) -> int:
-        return self.total_chunks - self.used_chunks
 
 
 class _RemoteSlabs:
@@ -106,7 +103,7 @@ class _RemoteSlabs:
 
 
 class RemoteNode:
-    """One live node, duck-typing the Master/Agent-facing node surface.
+    """One live node, serving the cluster/Master/Agent-facing node surface.
 
     Reads that drive planning (`dump_timestamps`, `items_in_mru_order`,
     `median_timestamp`, `page_fractions`, `peek`, the ``slabs``
@@ -136,8 +133,6 @@ class RemoteNode:
         self._snapshot: _RemoteSlabs | None = None
         self._sizes: dict[str, int] = {}
         self._timestamps: dict[str, float] = {}
-        self._memory_bytes: int | None = None
-        self._curr_items = 0
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -153,21 +148,14 @@ class RemoteNode:
     def refresh(self) -> _RemoteSlabs:
         """Fetch a fresh metadata snapshot from the live node."""
         stats = self._call(self.client.stats())
-        self._memory_bytes = stats.get("limit_maxbytes", 0)
-        self._curr_items = stats.get("curr_items", 0)
         slabs = _RemoteSlabs(
-            self._chunk_sizes, self._memory_bytes // PAGE_SIZE
+            self._chunk_sizes, stats.get("limit_maxbytes", 0) // PAGE_SIZE
         )
         raw = self._call(self.client.stats_slabs())
         for name, value in raw.items():
             cid_str, _, field = name.partition(":")
-            if not field:
-                continue
-            slab_class = slabs.classes[int(cid_str)]
             if field == "total_pages":
-                slab_class.pages = value
-            elif field == "used_chunks":
-                slab_class.used_chunks = value
+                slabs.classes[int(cid_str)].pages = value
         self._sizes = {}
         self._timestamps = {}
         for slab_class in slabs.classes:
@@ -201,11 +189,19 @@ class RemoteNode:
         return len(self)
 
     @property
-    def memory_bytes(self) -> int:
-        if self._memory_bytes is None:
-            self.refresh()
-        assert self._memory_bytes is not None
-        return self._memory_bytes
+    def used_bytes(self) -> int:
+        """Chunk-rounded bytes in use, as of the snapshot."""
+        return sum(
+            len(c.mru_rows) * c.chunk_size for c in self.slabs.classes
+        )
+
+    @property
+    def stats(self) -> NodeStats:
+        """The node's ``stats`` counters (one round trip, not cached)."""
+        raw = self._call(self.client.stats())
+        return NodeStats(
+            **{field: raw.get(name, 0) for name, field in STATS_COUNTERS}
+        )
 
     def active_class_ids(self) -> list[int]:
         return [
@@ -291,7 +287,7 @@ class RemoteNode:
         now: float = 0.0,
         exptime: float = 0.0,
     ) -> bool:
-        flags, payload = _as_payload(value)
+        flags, payload = wire_value(value)
         self.invalidate()
         return self._call(
             self.client.set(key, payload, flags=flags, exptime=exptime)
@@ -302,7 +298,7 @@ class RemoteNode:
     ) -> int:
         wire_entries = []
         for key, value, _size in entries:
-            flags, payload = _as_payload(value)
+            flags, payload = wire_value(value)
             wire_entries.append((key, flags, payload))
         self.invalidate()
         return self._call(self.client.set_many(wire_entries))
@@ -337,10 +333,6 @@ class RemoteNode:
         self.invalidate()
         return self._call(self.client.batch_import(migrated, mode=mode))
 
-    def wire_stats(self) -> dict[str, int]:
-        """Raw ``stats`` counters from the live node."""
-        return self._call(self.client.stats())
-
     def close(self) -> None:
         """Close this node's pooled connections."""
         self._call(self.client.close())
@@ -352,26 +344,10 @@ class RemoteNode:
         )
 
 
-def _as_payload(value: Any) -> tuple[int, bytes]:
-    """Coerce a cluster-level value to wire ``(flags, payload)``."""
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        flags = value[0] if isinstance(value[0], int) else 0
-        return flags, bytes(value[1])
-    if isinstance(value, (bytes, bytearray)):
-        return 0, bytes(value)
-    return 0, str(value).encode("utf-8")
-
-
-class LiveCluster:
-    """A pool of :class:`RemoteNode` with ketama routing.
-
-    The membership, routing, and client-operation surface mirrors
-    :class:`~repro.memcached.cluster.MemcachedCluster`; values returned
-    by ``get`` are the wire's ``(flags, payload)`` tuples.
+class LiveCluster(MemcachedCluster):
+    """A :class:`~repro.memcached.cluster.MemcachedCluster` of
+    :class:`RemoteNode`; values returned by ``get`` are the wire's
+    ``(flags, payload)`` tuples.
 
     Parameters
     ----------
@@ -388,6 +364,10 @@ class LiveCluster:
         Per-node client transport settings
         (see :class:`~repro.net.client.NodeClient`).
     """
+
+    # The pool holds RemoteNode, which serves the same node surface as
+    # the base class's MemcachedNode without subclassing it.
+    nodes: dict[str, RemoteNode]  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -406,9 +386,6 @@ class LiveCluster:
         if not endpoints:
             raise ConfigurationError("LiveCluster needs at least one endpoint")
         self._endpoints = dict(endpoints)
-        self.vnodes = vnodes
-        self._min_chunk = min_chunk
-        self._growth_factor = growth_factor
         self._pool_size = pool_size
         self._timeout_s = timeout_s
         self._retry = retry
@@ -418,28 +395,21 @@ class LiveCluster:
         self.loop = EventLoopThread(
             name="live-cluster", sanitizer=self.sanitizer
         ).start()
-        self.nodes: dict[str, RemoteNode] = {}
-        self.ring = ConsistentHashRing(vnodes=vnodes)
-        self._remap: dict[str, str] = {}
+        # Each server owns its memory, so the cluster sizes nothing.
+        super().__init__(
+            (),
+            memory_per_node=0,
+            vnodes=vnodes,
+            min_chunk=min_chunk,
+            growth_factor=growth_factor,
+        )
         names = list(active) if active is not None else sorted(endpoints)
         for name in self._endpoints:
             self.provision(name)
         for name in names:
             self.activate(name)
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-
-    @property
-    def active_members(self) -> frozenset[str]:
-        return self.ring.members
-
-    @property
-    def active_nodes(self) -> list[RemoteNode]:
-        return [self.nodes[name] for name in sorted(self.ring.members)]
-
-    def provision(self, name: str) -> RemoteNode:
+    def provision(self, name: str) -> RemoteNode:  # type: ignore[override]
         """Connect a registered endpoint as a cold node (off the ring)."""
         if name in self.nodes:
             raise MembershipError(f"node {name!r} already provisioned")
@@ -470,181 +440,16 @@ class LiveCluster:
         self.nodes[name] = node
         return node
 
-    def activate(self, name: str) -> None:
-        if name not in self.nodes:
-            raise MembershipError(f"node {name!r} not provisioned")
-        self.ring.add_node(name)
-
-    def deactivate(self, name: str) -> None:
-        self.ring.remove_node(name)
-        self._drop_stale_remaps()
-
     def destroy(self, name: str) -> None:
-        """Flush the remote node and drop the connection (the live
+        """Flush the remote node and drop its connections (the live
         analogue of turning the VM off)."""
-        node = self.nodes.pop(name, None)
-        if node is None:
-            raise MembershipError(f"node {name!r} not provisioned")
-        if name in self.ring:
-            self.ring.remove_node(name)
-            self._drop_stale_remaps()
+        node = self.nodes.get(name)
         try:
-            node.flush_all()
+            super().destroy(name)
         except TransportError:
             pass  # a crashed node is already as flushed as it gets
-        node.close()
-
-    def set_membership(self, names: Iterable[str]) -> None:
-        names = list(names)
-        missing = [name for name in names if name not in self.nodes]
-        if missing:
-            raise MembershipError(f"nodes not provisioned: {missing}")
-        self.ring.set_members(names)
-        self._drop_stale_remaps()
-
-    # ------------------------------------------------------------------
-    # Routing overrides (parity with MemcachedCluster)
-    # ------------------------------------------------------------------
-
-    def set_remap(self, key: str, node: str) -> None:
-        if node not in self.ring:
-            raise MembershipError(f"remap target {node!r} not active")
-        if self.ring.node_for_key(key) == node:
-            self._remap.pop(key, None)
-        else:
-            self._remap[key] = node
-
-    def clear_remap(self, key: str) -> None:
-        self._remap.pop(key, None)
-
-    def clear_all_remaps(self) -> None:
-        self._remap.clear()
-
-    @property
-    def remap_count(self) -> int:
-        return len(self._remap)
-
-    def _drop_stale_remaps(self) -> None:
-        members = self.ring.members
-        stale = [
-            key
-            for key, node in self._remap.items()
-            if node not in members
-        ]
-        for key in stale:
-            del self._remap[key]
-
-    def ring_for(self, members: Iterable[str]) -> ConsistentHashRing:
-        return ConsistentHashRing(members, vnodes=self.vnodes)
-
-    # ------------------------------------------------------------------
-    # Client operations (over the wire)
-    # ------------------------------------------------------------------
-
-    def route(self, key: str) -> str:
-        if self._remap:
-            override = self._remap.get(key)
-            if override is not None:
-                return override
-        return self.ring.node_for_key(key)
-
-    def route_many(self, keys: list[str]) -> list[str]:
-        if not self._remap:
-            return self.ring.lookup_many(keys)
-        remap_get = self._remap.get
-        lookup = self.ring.node_for_key
-        owners: list[str] = []
-        for key in keys:
-            override = remap_get(key)
-            owners.append(override if override is not None else lookup(key))
-        return owners
-
-    def get(self, key: str, now: float = 0.0) -> Any | None:
-        return self.nodes[self.route(key)].get(key, now)
-
-    def set(
-        self, key: str, value: Any, value_size: int, now: float = 0.0
-    ) -> bool:
-        return self.nodes[self.route(key)].set(key, value, value_size, now)
-
-    def delete(self, key: str) -> bool:
-        return self.nodes[self.route(key)].delete(key)
-
-    def get_many(
-        self, keys: Iterable[str], now: float = 0.0
-    ) -> list[Any | None]:
-        keys = list(keys)
-        owners = self.route_many(keys)
-        groups: dict[str, list[str]] = {}
-        for key, owner in zip(keys, owners):
-            groups.setdefault(owner, []).append(key)
-        cursors = {
-            owner: iter(self.nodes[owner].get_many(bucket, now))
-            for owner, bucket in groups.items()
-        }
-        return [next(cursors[owner]) for owner in owners]
-
-    def set_many(
-        self, entries: Iterable[tuple[str, Any, int]], now: float = 0.0
-    ) -> int:
-        entries = list(entries)
-        owners = self.route_many([entry[0] for entry in entries])
-        groups: dict[str, list[tuple[str, Any, int]]] = {}
-        for entry, owner in zip(entries, owners):
-            groups.setdefault(owner, []).append(entry)
-        return sum(
-            self.nodes[owner].set_many(batch, now)
-            for owner, batch in groups.items()
-        )
-
-    def delete_many(self, keys: Iterable[str]) -> int:
-        keys = list(keys)
-        owners = self.route_many(keys)
-        groups: dict[str, list[str]] = {}
-        for key, owner in zip(keys, owners):
-            groups.setdefault(owner, []).append(key)
-        return sum(
-            self.nodes[owner].delete_many(batch)
-            for owner, batch in groups.items()
-        )
-
-    def multiget(
-        self, keys: Iterable[str], now: float = 0.0
-    ) -> tuple[dict[str, Any], list[str]]:
-        keys = list(keys)
-        hits: dict[str, Any] = {}
-        misses: list[str] = []
-        for key, value in zip(keys, self.get_many(keys, now)):
-            if value is None:
-                misses.append(key)
-            else:
-                hits[key] = value
-        return hits, misses
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def total_items(self) -> int:
-        return sum(len(node) for node in self.active_nodes)
-
-    def aggregate_stats(self) -> NodeStats:
-        """Wire counters summed over the pool, mapped onto NodeStats."""
-        total = NodeStats()
-        for node in self.nodes.values():
-            stats = node.wire_stats()
-            total.get_hits += stats.get("get_hits", 0)
-            total.get_misses += stats.get("get_misses", 0)
-            total.sets += stats.get("cmd_set", 0)
-            total.deletes += stats.get("delete_hits", 0)
-            total.evictions += stats.get("evictions", 0)
-            total.expired += stats.get("expired_unfetched", 0)
-        return total
-
-    def refresh_all(self) -> None:
-        """Force a fresh metadata snapshot on every node."""
-        for node in self.nodes.values():
-            node.refresh()
+        if node is not None:
+            node.close()
 
     def close(self) -> None:
         """Close every client connection and the I/O loop; idempotent."""
@@ -662,9 +467,3 @@ class LiveCluster:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LiveCluster(active={sorted(self.ring.members)}, "
-            f"pool={len(self.nodes)})"
-        )

@@ -4,7 +4,7 @@ The net tier (:mod:`repro.net`) gives every client a direct connection
 to every node; this package adds the intermediary production fleets put
 in front of Memcached.  Clients speak the ordinary text protocol to one
 :class:`ProxyServer`; behind it a :class:`ProxyRouter` routes each key
-over the same ketama ring the cluster facades use, while three
+over the same ketama ring the cluster uses, while three
 robustness mechanisms keep the client-visible stream clean during
 elasticity events:
 

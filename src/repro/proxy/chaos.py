@@ -237,7 +237,7 @@ def run_proxy_chaos(
         victim_keys = restart_event.result
         key = victim_keys[len(probes) % len(victim_keys)]
         try:
-            probes.append(scenario.live.get(key) is not None)
+            probes.append(scenario.live.get(key, 0.0) is not None)
         except TransportError:
             probe_errors.append((scenario.now(), victim))
             probes.append(False)

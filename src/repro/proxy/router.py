@@ -4,8 +4,8 @@
 listener and the backend fleet:
 
 - a ketama ring over the *active* backends (the same
-  :class:`~repro.hashing.ketama.ConsistentHashRing` the cluster facades
-  use, so the proxy and the Master route identically);
+  :class:`~repro.hashing.ketama.ConsistentHashRing` the cluster uses,
+  so the proxy and the Master route identically);
 - one pooled :class:`~repro.net.client.NodeClient` per backend, with a
   short jittered retry schedule seeded per backend;
 - one :class:`~repro.proxy.breaker.CircuitBreaker` per backend: a dead
@@ -81,7 +81,7 @@ class ProxyConfig:
         Backend client transport settings; the retry policy defaults to
         a short decorrelated-jitter schedule, seeded per backend.
     vnodes:
-        Ring geometry; must match the cluster facades' so the proxy and
+        Ring geometry; must match the cluster's so the proxy and
         the Master agree on key placement.
     """
 

@@ -2,18 +2,20 @@
 
 The seeded-violation corpus (:mod:`tests.test_check_corpus`) pins each
 rule to exact lines; these tests cover the rule *semantics* -- the
-sanctioned live-tier patterns each rule must NOT flag, suppression via
-``repro: allow[...]``, and the package scoping of the bridge rule.
+sanctioned live-tier patterns each rule must NOT flag and suppression
+via ``repro: allow[...]``.
 """
 
 from repro.check import ASYNC_RULES, async_rule_catalogue
 from repro.check.lint import lint_source
 
 
-def codes(source: str, module: str = "repro.net.fake") -> list[str]:
+def codes(source: str) -> list[str]:
     return [
         violation.code
-        for violation in lint_source(source, module, rules=ASYNC_RULES)
+        for violation in lint_source(
+            source, "repro.net.fake", rules=ASYNC_RULES
+        )
     ]
 
 
@@ -84,15 +86,6 @@ def test_rep105_get_event_loop_anywhere():
         "    return asyncio.get_event_loop()\n"
     )
     assert codes(source) == ["REP105"]
-
-
-def test_rep106_ambient_contextvar_in_bridged_package():
-    source = (
-        "from repro.obs.trace import current_context\n"
-        "async def send(conn):\n"
-        "    return current_context()\n"
-    )
-    assert codes(source, "repro.net.fake") == ["REP106"]
 
 
 # ----------------------------------------------------------------------
@@ -166,18 +159,8 @@ def test_get_running_loop_chain_is_clean():
 
 
 # ----------------------------------------------------------------------
-# Scoping + suppression
+# Suppression + catalogue
 # ----------------------------------------------------------------------
-
-
-def test_rep106_only_applies_to_bridged_packages():
-    source = (
-        "from repro.obs.trace import current_context\n"
-        "async def send(conn):\n"
-        "    return current_context()\n"
-    )
-    assert codes(source, "repro.obs.fake") == []
-    assert codes(source, "repro.proxy.fake") == ["REP106"]
 
 
 def test_allow_marker_suppresses_async_rules():
@@ -189,9 +172,9 @@ def test_allow_marker_suppresses_async_rules():
     assert codes(source) == []
 
 
-def test_catalogue_lists_all_six_async_rules():
+def test_catalogue_lists_all_five_async_rules():
     rows = async_rule_catalogue()
     assert [code for code, _, _ in rows] == [
-        f"REP10{index}" for index in range(1, 7)
+        f"REP10{index}" for index in range(1, 6)
     ]
-    assert len({name for _, name, _ in rows}) == 6
+    assert len({name for _, name, _ in rows}) == 5

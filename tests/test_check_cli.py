@@ -20,7 +20,7 @@ def test_check_list_rules(capsys):
     for index in range(1, 9):
         assert f"REP00{index}" in out
     # The full catalogue includes the async and conformance packs.
-    for index in range(1, 7):
+    for index in range(1, 6):
         assert f"REP10{index}" in out
     for index in range(1, 6):
         assert f"REP20{index}" in out

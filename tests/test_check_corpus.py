@@ -22,7 +22,6 @@ PROTOCOL = CORPUS / "protocol"
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 EXPECT = re.compile(r"#\s*expect:\s*(REP\d{3})")
-MODULE = re.compile(r"#\s*module:\s*(\S+)")
 
 RULE_FIXTURES = sorted(CORPUS.glob("rep1*.py"))
 
@@ -35,12 +34,6 @@ def expected_markers(path: Path) -> set[tuple[str, int]]:
         for match in [EXPECT.search(line)]
         if match is not None
     }
-
-
-def fixture_module(path: Path) -> str:
-    """Module name from the ``# module:`` directive, else the bare stem."""
-    match = MODULE.search(path.read_text())
-    return match.group(1) if match is not None else module_name_for(path)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +56,7 @@ def test_async_rules_fire_exactly_at_markers(path):
         for violation in linter.check_source(
             path.read_text(),
             path=str(path),
-            module=fixture_module(path),
+            module=module_name_for(path),
         )
     }
     markers = expected_markers(path)

@@ -3,7 +3,8 @@
 ``repro serve`` and ``repro proxy`` are long-running processes; a
 supervisor's TERM (or a Ctrl-C) must drain open connections through the
 harness's ``drain_grace_s`` path and exit 0, not die mid-write with a
-traceback.  These tests drive the real CLI in a subprocess.
+traceback.  Likewise a command whose stdout reader goes away exits
+quietly.  These tests drive the real CLI in a subprocess.
 """
 
 import os
@@ -119,3 +120,26 @@ class TestGracefulShutdown:
         assert completed.returncode == 0, completed.stdout
         assert "stopped." in completed.stdout
         assert "draining" not in completed.stdout
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    """A reader that goes away (``repro ... | head``) ends the command
+    with exit code 1 and nothing on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "cost"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=REPO_ROOT,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert completed.returncode == 1
+    assert completed.stderr == ""

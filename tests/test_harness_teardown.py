@@ -57,7 +57,7 @@ def exercise_cluster(harness: LiveClusterHarness) -> None:
     """Touch every backend so client pools actually dial."""
     with LiveCluster(harness.endpoints) as live:
         stored = live.set_many(
-            [(f"cyc-{i:03d}", (0, b"x" * 16), 16) for i in range(32)]
+            [(f"cyc-{i:03d}", (0, b"x" * 16), 16) for i in range(32)], 0.0
         )
         assert stored == 32
 

@@ -9,6 +9,7 @@ socket-vs-in-process equivalence replay) keep their budgets tiny via
 ``backoff_scale`` so the suite stays fast.
 """
 
+import contextvars
 import time
 
 import pytest
@@ -503,3 +504,29 @@ class TestSocketEquivalence:
                 )
             finally:
                 live.close()
+
+
+class TestContextAcrossTheBridge:
+    def test_caller_contextvar_is_visible_inside_loop_call(self, loop):
+        """``EventLoopThread.call`` runs the coroutine in a copy of the
+        calling thread's context: a value set by the caller reads back on
+        the loop thread, and a write there does not leak back.  The
+        client's ambient trace context relies on this."""
+        probe = contextvars.ContextVar("bridge_probe", default="default")
+
+        async def read() -> str:
+            return probe.get()
+
+        async def write() -> str:
+            probe.set("loop")
+            return probe.get()
+
+        assert loop.call(read()) == "default"
+        token = probe.set("caller")
+        try:
+            assert loop.call(read()) == "caller"
+            assert loop.call(write()) == "loop"
+            assert probe.get() == "caller"
+        finally:
+            probe.reset(token)
+        assert loop.call(read()) == "default"
